@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-merge gate: build the default and sanitizer presets, run the full
 # test suite under both, run a forced-scalar (ECOMP_SIMD=OFF) pass with
-# a vector-ISA link-hygiene check, run the energy regression gate
+# a vector-ISA link-hygiene check, build and run the standalone
+# perfbench/ helper tests, run the energy regression gate
 # (benchdiff of fresh fig1/fig2/fig3 sidecars against bench/baselines —
 # see scripts/bench_gate.sh), then verify the observability layer's overhead
 # budget — instrumented (ECOMP_OBS=ON) codec throughput may regress at
@@ -90,6 +91,17 @@ if ! nm -C build-check/tests/ecomp_simd_tests | grep -qE \
   exit 1
 fi
 echo "simd link hygiene: OK"
+
+echo
+echo "== perfbench helper tests (standalone perfbench/ build) =="
+# perfbench/ builds the ecomp libraries from src/ on its own; its
+# helper tests pin, among other things, the exact request line each
+# client entry point puts on the wire, so a refactor of net/ that
+# changes a request byte fails here.
+cmake -B build-check-perfbench -S perfbench \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build build-check-perfbench -j "$JOBS" --target perfbench_tests
+build-check-perfbench/perfbench_tests
 
 if [ "${ECOMP_CHECK_SKIP_BENCH:-0}" = "1" ]; then
   echo "overhead + energy gates skipped (ECOMP_CHECK_SKIP_BENCH=1)"

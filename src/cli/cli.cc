@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -551,18 +552,47 @@ int cmd_energy(const ArgParser& p, std::ostream& out) {
   return 0;
 }
 
+/// The --port of the running proxy a client command talks to; `cmd`
+/// names the command in the error.
+std::uint16_t proxy_port(const ArgParser& p, const std::string& cmd) {
+  if (p.port <= 0 || p.port > 0xffff)
+    throw Error(cmd + " needs --port of a running proxy");
+  return static_cast<std::uint16_t>(p.port);
+}
+
+/// The one STATS poll loop behind `stats`, `top` and `monitor`: fetch
+/// `format` from the proxy, hand it to `on_poll` with the poll's index,
+/// and repeat every --interval-ms until --count polls are done (0 =
+/// until `on_poll` returns false). `once` polls a single time whatever
+/// --count says. Returns the number of polls made.
+int poll_stats(const ArgParser& p, std::uint16_t port, bool once,
+               const std::string& format,
+               const std::function<bool(int, const std::string&)>& on_poll) {
+  if (p.count < 0) throw Error("--count must be >= 0");
+  const int count = once ? 1 : p.count;
+  int polls = 0;
+  while (count == 0 || polls < count) {
+    if (polls > 0)
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::max(p.interval_ms, 1)));
+    const bool more = on_poll(polls, net::fetch_stats(port, format));
+    ++polls;
+    if (!more) break;
+  }
+  return polls;
+}
+
 int cmd_download(const ArgParser& p, std::ostream& out) {
   if (p.positional.size() != 2) throw Error("download needs NAME and OUT");
-  if (p.port <= 0 || p.port > 0xffff)
-    throw Error("download needs --port of a running proxy");
+  const std::uint16_t port = proxy_port(p, "download");
   net::TransferPolicy tp;
   tp.max_retries = p.max_retries;
   tp.timeout_ms = p.timeout_ms;
   tp.resume = p.resume;
   tp.salvage = p.salvage;
   tp.threads = p.resolved_threads();
-  const auto outcome = net::download_resilient(
-      static_cast<std::uint16_t>(p.port), p.positional[0], p.mode, tp);
+  const auto outcome =
+      net::download_resilient(port, p.positional[0], p.mode, tp);
   write_file(p.positional[1], outcome.data);
   out << p.positional[0] << ": " << outcome.stats.bytes_on_wire
       << " wire bytes -> " << outcome.data.size() << " bytes in "
@@ -601,13 +631,11 @@ std::map<std::string, double> stats_counters(const obs::JsonValue& root) {
 
 int cmd_stats(const ArgParser& p, std::ostream& out) {
   if (!p.positional.empty()) throw Error("stats takes no positional args");
-  if (p.port <= 0 || p.port > 0xffff)
-    throw Error("stats needs --port of a running proxy");
+  const std::uint16_t port = proxy_port(p, "stats");
   if (p.json && p.prom) throw Error("stats: pick one of --json / --prom");
   const std::string format = p.prom ? "prom" : p.json ? "json" : "text";
   // One snapshot by default; --watch repeats every --interval-ms until
   // --count snapshots have been printed (0 = until interrupted).
-  const int reps = p.watch ? p.count : 1;
   // Watching raw totals repeats everything since proxy start and buries
   // the live signal, so text --watch reports what changed each interval
   // (counter deltas and per-second rates). The machine formats stay
@@ -617,18 +645,15 @@ int cmd_stats(const ArgParser& p, std::ostream& out) {
   std::map<std::string, double> prev;
   double prev_uptime = 0.0;
   char buf[192];
-  for (int i = 0; reps == 0 || i < reps; ++i) {
-    if (i > 0)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max(p.interval_ms, 1)));
+  poll_stats(p, port, !p.watch, deltas ? "json" : format,
+             [&](int i, const std::string& payload) {
+    last = payload;
     if (!deltas) {
-      last = net::fetch_stats(static_cast<std::uint16_t>(p.port), format);
       out << last;
       if (last.empty() || last.back() != '\n') out << "\n";
       out.flush();  // --watch output is commonly piped; keep it live
-      continue;
+      return true;
     }
-    last = net::fetch_stats(static_cast<std::uint16_t>(p.port), "json");
     const obs::JsonValue root = obs::parse_json(last);
     const double uptime = root.number_or("uptime_s", 0.0);
     std::map<std::string, double> cur = stats_counters(root);
@@ -657,7 +682,8 @@ int cmd_stats(const ArgParser& p, std::ostream& out) {
     prev = std::move(cur);
     prev_uptime = uptime;
     out.flush();
-  }
+    return true;
+  });
   if (!p.out_path.empty()) write_file(p.out_path, as_bytes(last));
   return 0;
 }
@@ -688,18 +714,12 @@ std::string sparkline(const std::vector<double>& vals) {
 
 int cmd_top(const ArgParser& p, std::ostream& out) {
   if (!p.positional.empty()) throw Error("top takes no positional args");
-  if (p.port <= 0 || p.port > 0xffff)
-    throw Error("top needs --port of a running proxy");
-  const std::uint16_t port = static_cast<std::uint16_t>(p.port);
+  const std::uint16_t port = proxy_port(p, "top");
   char buf[224];
-  for (int frame = 0; p.count == 0 || frame < p.count; ++frame) {
-    if (frame > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max(p.interval_ms, 1)));
-      out << "\x1b[2J\x1b[H";  // clear + home; first frame scrolls normally
-    }
-    const obs::JsonValue stats =
-        obs::parse_json(net::fetch_stats(port, "json"));
+  poll_stats(p, port, false, "json", [&](int frame, const std::string& json) {
+    // Clear + home; the first frame scrolls normally.
+    if (frame > 0) out << "\x1b[2J\x1b[H";
+    const obs::JsonValue stats = obs::parse_json(json);
     const obs::JsonValue series =
         obs::parse_json(net::fetch_stats(port, "series"));
     std::string sha = "unknown";
@@ -754,7 +774,8 @@ int cmd_top(const ArgParser& p, std::ostream& out) {
       out << "no alerts\n";
     }
     out.flush();
-  }
+    return true;
+  });
   return 0;
 }
 
@@ -762,8 +783,7 @@ int cmd_top(const ArgParser& p, std::ostream& out) {
 
 int cmd_monitor(const ArgParser& p, std::ostream& out) {
   if (!p.positional.empty()) throw Error("monitor takes no positional args");
-  if (p.port <= 0 || p.port > 0xffff)
-    throw Error("monitor needs --port of a running proxy");
+  const std::uint16_t port = proxy_port(p, "monitor");
   if (p.rules_path.empty()) throw Error("monitor needs --rules FILE");
   // Symbolic thresholds resolve against the paper's energy model here,
   // where the model lives: "eq6" is the raw-download J/MB line for the
@@ -803,15 +823,10 @@ int cmd_monitor(const ArgParser& p, std::ostream& out) {
   double prev_uptime = -1.0;
   std::uint64_t fired_total = 0;
   char buf[192];
-  const std::uint16_t port = static_cast<std::uint16_t>(p.port);
   std::vector<obs::Alert> fired;
-  int polls = 0;
-  for (int i = 0; p.count == 0 || i < p.count; ++i, ++polls) {
-    if (i > 0)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max(p.interval_ms, 1)));
-    const obs::JsonValue root =
-        obs::parse_json(net::fetch_stats(port, "json"));
+  const int polls = poll_stats(p, port, false, "json",
+                               [&](int, const std::string& json) {
+    const obs::JsonValue root = obs::parse_json(json);
     // Series time is the *server's* clock so rule windows survive slow
     // polls; a restarted proxy would run time backwards, so clamp.
     double t = root.number_or("uptime_s", 0.0);
@@ -852,11 +867,8 @@ int cmd_monitor(const ArgParser& p, std::ostream& out) {
     out.flush();
     // With no --count the monitor is a tripwire: run until something
     // breaks, then let the exit code wake the wrapper script.
-    if (p.count == 0 && fired_total > 0) {
-      ++polls;
-      break;
-    }
-  }
+    return p.count != 0 || fired_total == 0;
+  });
   std::snprintf(buf, sizeof buf, "monitor: %llu alert(s) in %d poll(s)\n",
                 static_cast<unsigned long long>(fired_total), polls);
   out << buf;

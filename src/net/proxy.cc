@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -30,17 +31,29 @@
 namespace ecomp::net {
 namespace {
 
-/// Strip an optional trailing " trace=<16hex>" token off a request
-/// line. Returns the parsed context — invalid (and the line untouched)
-/// when the token is absent or malformed.
-obs::TraceContext strip_trace(std::string* req) {
-  static const std::string kKey = " trace=";
-  const auto pos = req->rfind(kKey);
-  if (pos == std::string::npos) return {};
-  const obs::TraceContext ctx =
-      obs::TraceContext::from_hex(std::string_view(*req).substr(pos + kKey.size()));
-  if (ctx.valid()) req->erase(pos);
-  return ctx;
+/// Split a request line into its whitespace-separated tokens and peel
+/// a trailing "trace=" token off into `ctx`. Returns no tokens when that
+/// trace token is not a valid trace id.
+std::vector<std::string> split_request(const std::string& line,
+                                       obs::TraceContext* ctx) {
+  std::istringstream iss(line);
+  std::vector<std::string> tokens;
+  for (std::string token; iss >> token;) tokens.push_back(std::move(token));
+  static constexpr std::string_view kTrace = "trace=";
+  if (tokens.size() > 1 && tokens.back().rfind(kTrace, 0) == 0) {
+    *ctx = obs::TraceContext::from_hex(
+        std::string_view(tokens.back()).substr(kTrace.size()));
+    if (!ctx->valid()) return {};
+    tokens.pop_back();
+  }
+  return tokens;
+}
+
+/// A GET-RANGE offset: decimal digits only, within 64 bits.
+bool parse_offset(const std::string& token, std::uint64_t* offset) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *offset);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Append the reply-side trace echo when the request carried one.
@@ -95,14 +108,61 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
+/// The request modes ProxyServer::latency_us_ slots 1.. time, and the
+/// name STATS reports each slot under; slot 0 times every request.
+constexpr const char* kLatencyModes[] = {"", "raw", "full", "selective",
+                                         "put"};
+constexpr const char* kLatencyNames[] = {
+    "net.proxy.request_us", "net.proxy.raw_us", "net.proxy.full_us",
+    "net.proxy.selective_us", "net.proxy.put_us"};
+
+/// The trace a client transfer runs under: the thread's current trace,
+/// else a fresh id; none when `on` is false.
+obs::TraceContext client_trace(bool on) {
+  if (!on) return {};
+  const obs::TraceContext ctx = obs::current_trace();
+  return ctx.valid() ? ctx : obs::TraceContext::mint();
+}
+
+/// Client-side lifecycle events of one transfer: stamps the side and
+/// trace id, and the transfer's name and mode unless the event carries
+/// its own.
+struct ClientEvents {
+  std::uint64_t trace_id;
+  std::string_view name;
+  std::string_view mode;
+  void operator()(obs::Event e) const {
+    e.side = "client";
+    e.trace_id = trace_id;
+    if (e.name.empty()) e.name = name;
+    if (e.mode.empty()) e.mode = mode;
+    obs::EventLog::global().emit(e);
+  }
+};
+
+/// Sleep before retry `attempt` (1-based): exponential backoff with
+/// ±50% deterministic jitter, but never shorter than a BUSY reply's
+/// retry-after, which `busy_floor_ms` carries in and is cleared.
+void backoff(const TransferPolicy& p, int attempt, Rng& rng,
+             std::uint32_t* busy_floor_ms) {
+  double ms = p.backoff_base_ms;
+  for (int i = 1; i < attempt && ms < p.backoff_max_ms; ++i) ms *= 2.0;
+  ms = std::min(ms, static_cast<double>(p.backoff_max_ms));
+  const std::uint32_t wait = std::max(
+      static_cast<std::uint32_t>(ms * (0.5 + rng.uniform())), *busy_floor_ms);
+  *busy_floor_ms = 0;
+  std::this_thread::sleep_for(std::chrono::milliseconds(wait));
+}
+
 }  // namespace
 
 void FileStore::put(std::string name, Bytes data) {
+  auto shared = std::make_shared<const Bytes>(std::move(data));
   std::lock_guard<std::mutex> lock(mu_);
-  files_[std::move(name)] = std::move(data);
+  files_[std::move(name)] = std::move(shared);
 }
 
-Bytes FileStore::get(const std::string& name) const {
+std::shared_ptr<const Bytes> FileStore::get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = files_.find(name);
   if (it == files_.end()) throw Error("FileStore: no file named " + name);
@@ -114,7 +174,8 @@ bool FileStore::contains(const std::string& name) const {
   return files_.count(name) != 0;
 }
 
-std::map<std::string, Bytes> FileStore::snapshot() const {
+std::map<std::string, std::shared_ptr<const Bytes>> FileStore::snapshot()
+    const {
   std::lock_guard<std::mutex> lock(mu_);
   return files_;
 }
@@ -148,9 +209,9 @@ ProxyServer::ProxyServer(FileStore store, compress::SelectivePolicy policy,
   if (options_.precompress) {
     for (const auto& [name, data] : store_.snapshot()) {
       cache_.put(cache_key(name, "full9"),
-                 compress::DeflateCodec().compress(data));
+                 compress::DeflateCodec().compress(*data));
       cache_.put(cache_key(name, "sel9"),
-                 compress::selective_compress(data, policy_,
+                 compress::selective_compress(*data, policy_,
                                               options_.block_size, 9,
                                               options_.threads)
                      .container);
@@ -171,17 +232,6 @@ ProxyServer::ProxyServer(FileStore store, compress::SelectivePolicy policy,
 std::string ProxyServer::cache_key(const std::string& name,
                                    const char* variant) const {
   return name + '\x1f' + variant;
-}
-
-std::shared_ptr<const Bytes> ProxyServer::cached_payload(
-    const std::string& key, const std::function<Bytes()>& build) {
-  // Loop: when a concurrent builder abandons (its connection died), one
-  // waiter wins the next flight and builds.
-  while (true) {
-    auto lk = cache_.acquire(key);
-    if (lk.data) return lk.data;
-    if (lk.builder) return lk.builder->publish(build());
-  }
 }
 
 void ProxyServer::start_monitor(const MonitorConfig& cfg) {
@@ -259,6 +309,12 @@ void ProxyServer::start_monitor(const MonitorConfig& cfg) {
       }
     }
     st.series("net.proxy.conn_stall_s").append(t, stall_s);
+    // This proxy's own request latency, under the names the registry
+    // sampler would give it (the latency-slo rule watches .p99).
+    const obs::SlidingHistogram::Snapshot req = latency_us_[0].snapshot();
+    st.series("net.proxy.request_us.p50").append(t, req.p50);
+    st.series("net.proxy.request_us.p99").append(t, req.p99);
+    st.series("net.proxy.request_us.rate").append(t, req.rate_per_s);
   });
 
   {
@@ -443,15 +499,10 @@ obs::StatsSnapshot ProxyServer::stats() const {
     s.counters.emplace_back(name, v);
   // Instance histograms first, then the process-wide sliding set; one
   // final sort keeps the rendering byte-stable.
-  s.histograms.push_back({"net.proxy.full_us", full_us_.snapshot()});
-  s.histograms.push_back({"net.proxy.put_us", put_us_.snapshot()});
-  s.histograms.push_back({"net.proxy.raw_us", raw_us_.snapshot()});
-  s.histograms.push_back({"net.proxy.request_us", req_us_.snapshot()});
-  s.histograms.push_back({"net.proxy.selective_us", selective_us_.snapshot()});
-  for (auto& [name, snap] : obs::Registry::global().sliding_snapshots()) {
-    if (name == "net.proxy.request_us") continue;  // instance copy wins
+  for (std::size_t i = 0; i < latency_us_.size(); ++i)
+    s.histograms.push_back({kLatencyNames[i], latency_us_[i].snapshot()});
+  for (auto& [name, snap] : obs::Registry::global().sliding_snapshots())
     s.histograms.push_back({name, snap});
-  }
   std::sort(s.histograms.begin(), s.histograms.end(),
             [](const obs::HistStat& a, const obs::HistStat& b) {
               return a.name < b.name;
@@ -479,7 +530,6 @@ obs::StatsSnapshot ProxyServer::stats() const {
 
 void ProxyServer::shed(Socket client, std::uint64_t conn) {
   conns_busy_.fetch_add(1, std::memory_order_relaxed);
-  ECOMP_COUNT("net.proxy.busy");
   try {
     // Consume the request frame before refusing: closing with unread
     // data pending would RST the connection and the RST can destroy
@@ -582,7 +632,6 @@ void ProxyServer::handle(Socket client, std::uint64_t conn,
     shed(std::move(client), conn);
     return;
   }
-  ECOMP_COUNT("net.proxy.requests");
   if (options_.io_timeout_ms) {
     try {
       client.set_recv_timeout_ms(options_.io_timeout_ms);
@@ -614,7 +663,6 @@ void ProxyServer::handle(Socket client, std::uint64_t conn,
   const auto t0 = std::chrono::steady_clock::now();
   ReqInfo info;
   obs::TraceContext ctx;
-  std::exception_ptr rethrow;
 
   Bytes req;
   bool have_req = false;
@@ -632,29 +680,17 @@ void ProxyServer::handle(Socket client, std::uint64_t conn,
     }
   }
   if (have_req) {
-    std::string line = ecomp::to_string(req);
-    ctx = strip_trace(&line);
+    const std::vector<std::string> tokens =
+        split_request(ecomp::to_string(req), &ctx);
     obs::TraceScope scope(ctx);
     requests_total_.fetch_add(1, std::memory_order_relaxed);
     try {
-      handle_request(client, line, &info, conn, degrade, *state);
-    } catch (const FaultError& e) {
-      // Injected kill: the connection is already dead by design.
-      info.error = true;
-      obs::Event ev;
-      ev.stage = "error";
-      ev.side = "proxy";
-      ev.trace_id = ctx.trace_id;
-      ev.conn = static_cast<std::int64_t>(conn);
-      ev.name = info.name;
-      ev.mode = info.mode;
-      ev.err = e.what();
-      emit(ev);
-      rethrow = std::current_exception();
+      handle_request(client, tokens, &info, conn, degrade, *state);
     } catch (const std::exception& e) {
       // Anything a request trips over (missing file, bad upload, codec
-      // error) is that request's problem: reply ERR unless the status
-      // frame already went out and the peer now expects stream bytes.
+      // error, an injected kill) is that request's problem: reply ERR
+      // unless the status frame already went out and the peer now
+      // expects stream bytes, or a fault killed the connection by design.
       info.error = true;
       obs::Event ev;
       ev.stage = "error";
@@ -665,7 +701,7 @@ void ProxyServer::handle(Socket client, std::uint64_t conn,
       ev.mode = info.mode;
       ev.err = e.what();
       emit(ev);
-      if (!info.streaming) {
+      if (!info.streaming && !dynamic_cast<const FaultError*>(&e)) {
         try {
           send_frame(client,
                      as_bytes(with_trace(std::string("ERR ") + e.what(), ctx)));
@@ -676,12 +712,8 @@ void ProxyServer::handle(Socket client, std::uint64_t conn,
   }
 
   const std::uint64_t us = elapsed_us(t0);
-  req_us_.record(us);
-  ECOMP_SLIDING_OBSERVE("net.proxy.request_us", us);
-  if (info.mode == "raw") raw_us_.record(us);
-  else if (info.mode == "full") full_us_.record(us);
-  else if (info.mode == "selective") selective_us_.record(us);
-  else if (info.mode == "put") put_us_.record(us);
+  for (std::size_t i = 0; i < latency_us_.size(); ++i)
+    if (i == 0 || info.mode == kLatencyModes[i]) latency_us_[i].record(us);
   if (info.error) {
     errors_total_.fetch_add(1, std::memory_order_relaxed);
     // Wire bytes this connection burned before failing: paid for but
@@ -707,15 +739,13 @@ void ProxyServer::handle(Socket client, std::uint64_t conn,
     e.bytes_wire = static_cast<std::int64_t>(client.bytes_sent());
     emit(e);
   }
-  if (rethrow) std::rethrow_exception(rethrow);
 }
 
-void ProxyServer::handle_request(Socket& client, const std::string& req,
+void ProxyServer::handle_request(Socket& client,
+                                 const std::vector<std::string>& req,
                                  ReqInfo* info, std::uint64_t conn,
                                  Degrade degrade, ConnState& state) {
-  std::istringstream iss(req);
-  std::string verb;
-  iss >> verb;
+  const std::string verb = req.empty() ? "" : req[0];
   const obs::TraceContext ctx = obs::current_trace();
   const auto reply = [&](std::string status) {
     send_frame(client, as_bytes(with_trace(std::move(status), ctx)));
@@ -750,10 +780,9 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
     state.progress_ns.store(steady_now_ns(), std::memory_order_relaxed);
   };
 
-  if (verb == "STATS") {
+  if (verb == "STATS" && req.size() <= 2) {
     info->mode = "stats";
-    std::string format;
-    iss >> format;
+    const std::string format = req.size() == 2 ? req[1] : "";
     std::string payload;
     if (format == "series") {
       // Raw time-series dump for `ecomp top` sparklines; an empty store
@@ -771,13 +800,8 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
     return;
   }
 
-  if (verb == "PUT") {
-    std::string name;
-    iss >> name;
-    if (name.empty()) {
-      fail("ERR bad request");
-      return;
-    }
+  if (verb == "PUT" && req.size() == 2) {
+    const std::string& name = req[1];
     info->mode = "put";
     info->name = name;
     event({.stage = "parse"});
@@ -802,14 +826,13 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
     dec.verify();
     info->raw_bytes = data.size();
     info->wire_bytes = wire;
-    std::ostringstream status;
-    status << "OK stored " << data.size();
+    const std::string status = "OK stored " + std::to_string(data.size());
     const std::int64_t blocks =
         static_cast<std::int64_t>(dec.block_infos().size());
     store_.put(name, std::move(data));
     // New content invalidates every cached variant of the name.
     cache_.invalidate_prefix(name + '\x1f');
-    reply(status.str());
+    reply(status);
     ledger({.stage = "stream",
             .bytes_wire = static_cast<std::int64_t>(info->wire_bytes),
             .bytes_raw = static_cast<std::int64_t>(info->raw_bytes),
@@ -817,16 +840,17 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
     return;
   }
 
-  std::string mode, name;
-  iss >> mode >> name;
   const bool ranged = verb == "GET-RANGE";
   std::uint64_t offset = 0;
-  if ((verb != "GET" && !ranged) || name.empty() ||
-      (mode != "raw" && mode != "full" && mode != "selective") ||
-      (ranged && !(iss >> offset))) {
+  if ((verb != "GET" && !ranged) || req.size() != (ranged ? 4u : 3u) ||
+      (req[1] != "raw" && req[1] != "full" && req[1] != "selective") ||
+      (ranged && !parse_offset(req[3], &offset))) {
     fail("ERR bad request");
     return;
   }
+  const std::string& mode = req[1];
+  const std::string& name = req[2];
+  const bool selective = mode == "selective";
   info->mode = mode;
   info->name = name;
   event({.stage = "parse"});
@@ -834,9 +858,14 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
     fail("ERR no such file: " + name);
     return;
   }
-  const Bytes original = store_.get(name);
-  info->raw_bytes = original.size();
-  constexpr std::size_t kChunk = 32 * 1024;
+  const std::shared_ptr<const Bytes> original = store_.get(name);
+  info->raw_bytes = original->size();
+  std::int64_t blocks = -1;
+  if (selective)
+    blocks = static_cast<std::int64_t>(
+        options_.block_size ? (original->size() + options_.block_size - 1) /
+                                  options_.block_size
+                            : 0);
 
   // The degradation ladder (chosen at admission time): under load a
   // compressed GET is served at deflate level 1, then — one rung lower
@@ -857,10 +886,9 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
   const char* sel_variant = "sel9";
   const char* full_variant = "full9";
   compress::SelectivePolicy sel_policy = policy_;
-  if (degrade != Degrade::None && !ranged &&
-      (mode == "full" || mode == "selective")) {
+  if (degrade != Degrade::None && !ranged && mode != "raw") {
     level = 1;
-    if (degrade == Degrade::Raw && mode == "selective") {
+    if (degrade == Degrade::Raw && selective) {
       sel_variant = "selraw";
       sel_policy = compress::SelectivePolicy::never();
       degraded_raw_total_.fetch_add(1, std::memory_order_relaxed);
@@ -869,147 +897,97 @@ void ProxyServer::handle_request(Socket& client, const std::string& req,
       degraded_level_total_.fetch_add(1, std::memory_order_relaxed);
     }
     full_variant = "full1";
-    ECOMP_COUNT("net.proxy.degraded");
     event({.stage = "degrade",
            .err = degrade == Degrade::Raw ? "raw" : "level"});
   }
 
-  if (mode == "selective") {
-    const std::int64_t blocks = static_cast<std::int64_t>(
-        options_.block_size
-            ? (original.size() + options_.block_size - 1) /
-                  options_.block_size
-            : 0);
-    const std::string key = cache_key(name, sel_variant);
-    if (!ranged) {
-      // Single flight: the builder compresses on demand, overlapping
-      // each block's encode with its send (§5's zlib arrangement), and
-      // publishes the accumulated container; concurrent requests for
-      // the same variant wait and ship the published bytes.
-      while (true) {
-        auto lk = cache_.acquire(key);
-        if (lk.data) {
-          // Cached (precompressed a priori, §3, or a finished flight):
-          // ship the stored container.
-          info->streaming = true;
-          reply("OK stream");
-          for (std::size_t off = 0; off < lk.data->size(); off += kChunk) {
-            const std::size_t n = std::min(kChunk, lk.data->size() - off);
-            client.send_all(ByteSpan(*lk.data).subspan(off, n));
-            touch();
-            info->wire_bytes += n;
-          }
-          break;
-        }
-        if (!lk.builder) continue;  // builder abandoned; contend again
-        info->streaming = true;
-        reply("OK stream");
-        event({.stage = "compress"});
-        Bytes container;
-        compress::SelectiveStreamEncoder enc(original, sel_policy,
-                                             options_.block_size, level,
-                                             options_.threads);
-        while (!enc.done()) {
-          const Bytes chunk = enc.next_chunk();
-          if (!chunk.empty()) {
-            container.insert(container.end(), chunk.begin(), chunk.end());
-            client.send_all(chunk);
-            touch();
-            info->wire_bytes += chunk.size();
-          }
-        }
-        lk.builder->publish(std::move(container));
-        break;
+  // Resolve the one payload this request ships: the stored bytes for
+  // raw, else the variant from the single-flight cache (precompressed a
+  // priori, §3, or built on demand, §5). Deflate is deterministic, so a
+  // rebuilt variant matches any earlier stream of it byte for byte.
+  std::shared_ptr<const Bytes> payload;
+  if (mode == "raw") payload = original;
+  while (!payload) {
+    auto lk = cache_.acquire(
+        cache_key(name, selective ? sel_variant : full_variant));
+    payload = std::move(lk.data);
+    if (payload || !lk.builder) continue;  // a hit, or an abandoned flight
+    event({.stage = "compress"});
+    if (selective && offset == 0) {
+      // This request owns the flight: overlap each block's encode with
+      // its send (§5's zlib arrangement), then publish the container
+      // for the requests waiting on it.
+      info->streaming = true;
+      reply("OK stream");
+      Bytes container;
+      compress::SelectiveStreamEncoder enc(*original, sel_policy,
+                                           options_.block_size, level,
+                                           options_.threads);
+      while (!enc.done()) {
+        const Bytes chunk = enc.next_chunk();
+        if (chunk.empty()) continue;
+        container.insert(container.end(), chunk.begin(), chunk.end());
+        client.send_all(chunk);
+        touch();
       }
+      info->wire_bytes = container.size();
+      lk.builder->publish(std::move(container));
       ledger({.stage = "stream",
               .bytes_wire = static_cast<std::int64_t>(info->wire_bytes),
-              .bytes_raw = static_cast<std::int64_t>(original.size()),
+              .bytes_raw = static_cast<std::int64_t>(info->raw_bytes),
               .blocks = blocks});
       return;
     }
-    // Resume: the container bytes must be identical across attempts —
-    // deflate is deterministic, so the cached (or rebuilt) container
-    // matches the earlier stream of the same variant.
-    const auto container = cached_payload(key, [&] {
-      event({.stage = "compress"});
-      return compress::selective_compress(original, sel_policy,
-                                          options_.block_size, level,
-                                          options_.threads)
-          .container;
-    });
-    if (offset > container->size()) {
-      fail("ERR bad offset");
-      return;
-    }
-    info->streaming = true;
-    reply("OK stream");
-    for (std::size_t off = offset; off < container->size(); off += kChunk) {
-      const std::size_t n = std::min(kChunk, container->size() - off);
-      client.send_all(ByteSpan(*container).subspan(off, n));
-      touch();
-      info->wire_bytes += n;
-    }
-    ledger({.stage = "stream",
-            .bytes_wire = static_cast<std::int64_t>(info->wire_bytes),
-            .bytes_raw = static_cast<std::int64_t>(original.size()),
-            .blocks = blocks});
-    return;
+    payload = lk.builder->publish(
+        selective ? compress::selective_compress(*original, sel_policy,
+                                                 options_.block_size, level,
+                                                 options_.threads)
+                        .container
+                  : compress::DeflateCodec(level).compress(*original));
   }
 
-  std::shared_ptr<const Bytes> payload;
-  if (mode == "raw") {
-    payload = std::make_shared<const Bytes>(original);
-  } else {
-    payload = cached_payload(cache_key(name, full_variant), [&] {
-      event({.stage = "compress"});
-      return compress::DeflateCodec(level).compress(original);
-    });
-  }
-  if (ranged && offset > payload->size()) {
+  if (offset > payload->size()) {
     fail("ERR bad offset");
     return;
   }
-  const std::size_t remaining = payload->size() - (ranged ? offset : 0);
-  std::ostringstream status;
-  if (ranged) {
-    status << "OK " << remaining << " " << payload->size() << " "
-           << crc32(*payload);
-  } else {
-    status << "OK " << payload->size();
+  const std::uint64_t remaining = payload->size() - offset;
+  std::string status = "OK stream";
+  if (!selective) {
+    // raw/full ship one length-framed payload.
+    if (remaining > kMaxFramedPayload) {
+      fail("ERR payload too large");
+      return;
+    }
+    status = "OK " + std::to_string(remaining);
+    if (ranged)
+      status += " " + std::to_string(payload->size()) + " " +
+                std::to_string(crc32(*payload));
   }
   info->streaming = true;
-  reply(status.str());
-  send_frame_header(client, static_cast<std::uint32_t>(remaining));
-  for (std::size_t off = ranged ? offset : 0; off < payload->size();
-       off += kChunk) {
-    const std::size_t n = std::min(kChunk, payload->size() - off);
-    client.send_all(ByteSpan(*payload).subspan(off, n));
+  reply(std::move(status));
+  if (!selective) send_frame_header(client, remaining);
+  constexpr std::size_t kChunk = 32 * 1024;
+  for (std::size_t off = offset; off < payload->size(); off += kChunk) {
+    client.send_all(ByteSpan(*payload).subspan(
+        off, std::min(kChunk, payload->size() - off)));
     touch();
   }
   info->wire_bytes = remaining;
   ledger({.stage = "stream",
           .bytes_wire = static_cast<std::int64_t>(remaining),
-          .bytes_raw = static_cast<std::int64_t>(original.size()),
-          .blocks = -1});
-  return;
+          .bytes_raw = static_cast<std::int64_t>(info->raw_bytes),
+          .blocks = blocks});
 }
 
 Bytes download(std::uint16_t port, const std::string& name,
                const std::string& mode, DownloadStats* stats,
                unsigned threads) {
-  obs::TraceContext ctx = obs::current_trace();
-  if (!ctx.valid()) ctx = obs::TraceContext::mint();
+  const obs::TraceContext ctx = client_trace(true);
   obs::TraceScope scope(ctx);
   ECOMP_TRACE_SPAN("net.download", "net");
   ECOMP_COUNT("net.round_trips");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto event = [&](obs::Event e) {
-    e.side = "client";
-    e.trace_id = ctx.trace_id;
-    if (e.name.empty()) e.name = name;
-    if (e.mode.empty()) e.mode = mode;
-    obs::EventLog::global().emit(e);
-  };
+  const ClientEvents event{ctx.trace_id, name, mode};
   Socket s = connect_local(port);
   event({.stage = "connect"});
   send_frame(s, as_bytes(with_trace("GET " + mode + " " + name, ctx)));
@@ -1045,9 +1023,9 @@ Bytes download(std::uint16_t port, const std::string& name,
   } else {
     const std::uint32_t payload_size = recv_frame_header(s);
     local.bytes_on_wire = payload_size;
-    const Bytes payload = s.recv_exact(payload_size);
+    Bytes payload = s.recv_exact(payload_size);
     maybe_test_crash();
-    result = mode == "raw" ? payload
+    result = mode == "raw" ? std::move(payload)
                            : compress::DeflateCodec().decompress(payload);
   }
   local.bytes_decoded = result.size();
@@ -1061,69 +1039,12 @@ Bytes download(std::uint16_t port, const std::string& name,
   return result;
 }
 
-namespace {
-
-std::size_t upload_once(std::uint16_t port, const std::string& name,
-                        ByteSpan data,
-                        const compress::SelectivePolicy& policy,
-                        std::uint32_t timeout_ms) {
-  obs::TraceContext ctx = obs::current_trace();
-  if (!ctx.valid()) ctx = obs::TraceContext::mint();
-  obs::TraceScope scope(ctx);
-  ECOMP_TRACE_SPAN("net.upload", "net");
-  ECOMP_COUNT("net.round_trips");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto event = [&](obs::Event e) {
-    e.side = "client";
-    e.trace_id = ctx.trace_id;
-    if (e.name.empty()) e.name = name;
-    if (e.mode.empty()) e.mode = "put";
-    obs::EventLog::global().emit(e);
-  };
-  Socket s = connect_local(port);
-  if (timeout_ms) {
-    s.set_recv_timeout_ms(timeout_ms);
-    s.set_send_timeout_ms(timeout_ms);
-  }
-  event({.stage = "connect"});
-  send_frame(s, as_bytes(with_trace("PUT " + name, ctx)));
-  event({.stage = "request"});
-  compress::SelectiveStreamEncoder enc(data, policy);
-  std::size_t sent = 0;
-  while (!enc.done()) {
-    const Bytes chunk = enc.next_chunk();
-    if (!chunk.empty()) {
-      s.send_all(chunk);
-      sent += chunk.size();
-    }
-  }
-  const std::string status = ecomp::to_string(recv_frame(s));
-  if (status.rfind("OK stored", 0) != 0) {
-    event({.stage = "error", .err = "upload: " + status});
-    throw Error("upload: " + status);
-  }
-  ECOMP_SLIDING_OBSERVE("net.client.request_us", elapsed_us(t0));
-  event({.stage = "stream",
-         .bytes_wire = static_cast<std::int64_t>(sent),
-         .bytes_raw = static_cast<std::int64_t>(data.size())});
-  event({.stage = "close"});
-  return sent;
-}
-
-/// Exponential backoff with ±50% deterministic jitter, in ms, before
-/// retry `attempt` (1-based).
-std::uint32_t backoff_ms(const TransferPolicy& p, int attempt, Rng& rng) {
-  double ms = p.backoff_base_ms;
-  for (int i = 1; i < attempt && ms < p.backoff_max_ms; ++i) ms *= 2.0;
-  ms = std::min(ms, static_cast<double>(p.backoff_max_ms));
-  return static_cast<std::uint32_t>(ms * (0.5 + rng.uniform()));
-}
-
-}  // namespace
-
 std::size_t upload(std::uint16_t port, const std::string& name,
                    ByteSpan data, const compress::SelectivePolicy& policy) {
-  return upload_once(port, name, data, policy, 0);
+  TransferPolicy tp;
+  tp.max_retries = 0;
+  tp.timeout_ms = 0;
+  return upload_resilient(port, name, data, policy, tp);
 }
 
 DownloadOutcome download_resilient(std::uint16_t port,
@@ -1134,20 +1055,14 @@ DownloadOutcome download_resilient(std::uint16_t port,
     throw Error("download: bad mode " + mode);
   // One trace context for the whole transfer: every retry, resume, and
   // the eventual salvage all carry the id minted here.
-  obs::TraceContext ctx = obs::current_trace();
-  if (policy.trace && !ctx.valid()) ctx = obs::TraceContext::mint();
-  obs::TraceScope scope(policy.trace ? ctx : obs::TraceContext{});
+  const obs::TraceContext ctx = client_trace(policy.trace);
+  obs::TraceScope scope(ctx);
   ECOMP_TRACE_SPAN("net.download_resilient", "net");
-  const auto event = [&](obs::Event e) {
-    e.side = "client";
-    e.trace_id = policy.trace ? ctx.trace_id : 0;
-    if (e.name.empty()) e.name = name;
-    if (e.mode.empty()) e.mode = mode;
-    obs::EventLog::global().emit(e);
-  };
+  const ClientEvents event{ctx.trace_id, name, mode};
+  const bool selective = mode == "selective";
 
   DownloadOutcome out;
-  if (policy.trace) out.stats.trace_id = ctx.trace_id;
+  out.stats.trace_id = ctx.trace_id;
   Rng rng(policy.jitter_seed);
   // Wire bytes accumulated so far: the framed payload (raw/full) or the
   // container stream (selective). This is what resume carries across
@@ -1162,21 +1077,16 @@ DownloadOutcome download_resilient(std::uint16_t port,
   std::uint32_t busy_floor_ms = 0;
 
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
-    if (attempt > 0) {
-      std::uint32_t wait = backoff_ms(policy, attempt, rng);
-      wait = std::max(wait, busy_floor_ms);
-      busy_floor_ms = 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-    }
     ++out.attempts;
     if (!policy.resume) partial.clear();
     const std::size_t offset = partial.size();
-    if (attempt > 0 && offset > 0)
+    if (attempt > 0) {
+      backoff(policy, attempt, rng, &busy_floor_ms);
       out.resumed_bytes = std::max(out.resumed_bytes, offset);
-    if (attempt > 0)
       event({.stage = "retry",
              .bytes_wire = static_cast<std::int64_t>(offset),
              .attempt = attempt + 1});
+    }
 
     const auto attempt_t0 = std::chrono::steady_clock::now();
     const auto record_attempt = [&] {
@@ -1194,16 +1104,14 @@ DownloadOutcome download_resilient(std::uint16_t port,
       // the flight recorder still knows a connection was up and what
       // was asked of it (the crash-dump tests pivot on these).
       event({.stage = "connect", .attempt = attempt + 1});
-      send_frame(s,
-                 as_bytes(with_trace("GET-RANGE " + mode + " " + name + " " +
-                                         std::to_string(offset),
-                                     policy.trace ? ctx
-                                                  : obs::TraceContext{})));
+      send_frame(s, as_bytes(with_trace("GET-RANGE " + mode + " " + name +
+                                            " " + std::to_string(offset),
+                                        ctx)));
       event({.stage = "request",
              .bytes_wire = static_cast<std::int64_t>(offset),
              .attempt = attempt + 1});
       const std::string status = ecomp::to_string(recv_frame(s));
-      if (policy.trace && echoed_trace(status) == ctx.trace_id)
+      if (ctx.valid() && echoed_trace(status) == ctx.trace_id)
         out.stats.trace_echoed = true;
       if (const std::int64_t retry_after = parse_busy_retry_ms(status);
           retry_after >= 0 && status.rfind("BUSY", 0) == 0) {
@@ -1218,7 +1126,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
         continue;
       }
 
-      if (mode == "selective") {
+      if (selective) {
         if (status.rfind("OK stream", 0) != 0)
           throw Error("download: " + status);
         Bytes buf(16 * 1024);
@@ -1228,121 +1136,105 @@ DownloadOutcome download_resilient(std::uint16_t port,
           maybe_test_crash();
           partial.insert(partial.end(), buf.begin(), buf.begin() + n);
         }
+      } else {
+        // raw/full: "OK <remaining> <total> <crc32>"
+        std::istringstream iss(status);
+        std::string ok;
+        std::uint64_t remaining = 0, total = 0;
+        std::uint32_t crc = 0;
+        if (!(iss >> ok >> remaining >> total >> crc) || ok != "OK")
+          throw Error("download: " + status);
+        if (have_total && total != expected_total) {
+          // The file changed server-side between attempts; the partial
+          // prefix no longer belongs to this payload. Forget the stale
+          // total too, or the next attempt's fresh payload would be
+          // rejected against it and the mismatch would never heal.
+          partial.clear();
+          have_total = false;
+          throw Error("download: payload changed between attempts");
+        }
+        expected_total = total;
+        expected_crc = crc;
+        have_total = true;
+        if (recv_frame_header(s) != remaining)
+          throw Error("download: frame disagrees with status");
+
+        Bytes buf(32 * 1024);
+        std::uint64_t left = remaining;
+        while (left > 0) {
+          const std::size_t n = s.recv_some(
+              buf.data(),
+              static_cast<std::size_t>(std::min<std::uint64_t>(buf.size(),
+                                                               left)));
+          if (n == 0) throw Error("net: peer closed mid-message");
+          maybe_test_crash();
+          partial.insert(partial.end(), buf.begin(), buf.begin() + n);
+          left -= n;
+        }
+        if (partial.size() != expected_total)
+          throw Error("download: size mismatch after reassembly");
+        if (crc32(partial) != expected_crc) {
+          partial.clear();  // corrupted somewhere; no byte is trustworthy
+          have_total = false;
+          throw Error("download: payload CRC mismatch");
+        }
+      }
+
+      out.stats.bytes_on_wire = partial.size();
+      if (!selective) {
+        out.data = mode == "raw"
+                       ? std::move(partial)
+                       : compress::DeflateCodec().decompress(partial);
+      } else {
         // Fully received container + parallel decode requested: inflate
         // the independently decodable blocks concurrently. Any failure
         // (truncation, corruption) falls through to the streaming
         // decoder below, which classifies it for retry/resume.
+        bool decoded = false;
         if (policy.threads >= 2) {
           try {
             out.data = compress::selective_decompress(partial,
                                                       policy.threads);
-            std::vector<compress::BlockInfo> infos =
-                compress::selective_block_info(partial);
-            out.stats.bytes_on_wire = partial.size();
-            out.stats.bytes_decoded = out.data.size();
-            out.stats.blocks = infos.size();
-            out.stats.block_infos = std::move(infos);
-            record_attempt();
-            event({.stage = "stream",
-                   .bytes_wire =
-                       static_cast<std::int64_t>(out.stats.bytes_on_wire),
-                   .bytes_raw =
-                       static_cast<std::int64_t>(out.stats.bytes_decoded),
-                   .blocks = static_cast<std::int64_t>(out.stats.blocks),
-                   .attempt = out.attempts});
-            event({.stage = "close"});
-            return out;
+            out.stats.block_infos = compress::selective_block_info(partial);
+            decoded = true;
           } catch (const Error&) {
           }
         }
-        // Decode the accumulated container from scratch: corruption is
-        // detected here, and a short stream simply isn't finished yet.
-        core::SelectiveStreamDecoder dec;
-        dec.feed(partial);
-        Bytes data;
-        try {
-          while (auto block = dec.poll())
-            data.insert(data.end(), block->begin(), block->end());
-        } catch (const Error&) {
-          partial.clear();  // a block failed to decode: stream poisoned
-          throw;
+        if (!decoded) {
+          // Decode the accumulated container from scratch: corruption
+          // is detected here, and a short stream simply isn't finished
+          // yet.
+          core::SelectiveStreamDecoder dec;
+          dec.feed(partial);
+          Bytes data;
+          try {
+            while (auto block = dec.poll())
+              data.insert(data.end(), block->begin(), block->end());
+          } catch (const Error&) {
+            partial.clear();  // a block failed to decode: stream poisoned
+            throw;
+          }
+          // Truncated (keep the partial — resume finishes it) vs corrupt
+          // past the block boundaries (clear — no byte is trustworthy).
+          if (!dec.finished()) throw Error("download: stream ended early");
+          try {
+            dec.verify();
+          } catch (const Error&) {
+            partial.clear();
+            throw;
+          }
+          out.data = std::move(data);
+          out.stats.block_infos = dec.block_infos();
         }
-        // Truncated (keep the partial — resume finishes it) vs corrupt
-        // past the block boundaries (clear — no byte is trustworthy).
-        if (!dec.finished()) throw Error("download: stream ended early");
-        try {
-          dec.verify();
-        } catch (const Error&) {
-          partial.clear();
-          throw;
-        }
-        out.data = std::move(data);
-        out.stats.bytes_on_wire = partial.size();
-        out.stats.bytes_decoded = out.data.size();
-        out.stats.blocks = dec.block_infos().size();
-        out.stats.block_infos = dec.block_infos();
-        record_attempt();
-        event({.stage = "stream",
-               .bytes_wire =
-                   static_cast<std::int64_t>(out.stats.bytes_on_wire),
-               .bytes_raw =
-                   static_cast<std::int64_t>(out.stats.bytes_decoded),
-               .blocks = static_cast<std::int64_t>(out.stats.blocks),
-               .attempt = out.attempts});
-        event({.stage = "close"});
-        return out;
+        out.stats.blocks = out.stats.block_infos.size();
       }
-
-      // raw/full: "OK <remaining> <total> <crc32>"
-      std::istringstream iss(status);
-      std::string ok;
-      std::uint64_t remaining = 0, total = 0;
-      std::uint32_t crc = 0;
-      if (!(iss >> ok >> remaining >> total >> crc) || ok != "OK")
-        throw Error("download: " + status);
-      if (have_total && total != expected_total) {
-        // The file changed server-side between attempts; the partial
-        // prefix no longer belongs to this payload. Forget the stale
-        // total too, or the next attempt's fresh payload would be
-        // rejected against it and the mismatch would never heal.
-        partial.clear();
-        have_total = false;
-        throw Error("download: payload changed between attempts");
-      }
-      expected_total = total;
-      expected_crc = crc;
-      have_total = true;
-      if (recv_frame_header(s) != remaining)
-        throw Error("download: frame disagrees with status");
-
-      Bytes buf(32 * 1024);
-      std::uint64_t left = remaining;
-      while (left > 0) {
-        const std::size_t n = s.recv_some(
-            buf.data(),
-            static_cast<std::size_t>(std::min<std::uint64_t>(buf.size(),
-                                                             left)));
-        if (n == 0) throw Error("net: peer closed mid-message");
-        maybe_test_crash();
-        partial.insert(partial.end(), buf.begin(), buf.begin() + n);
-        left -= n;
-      }
-      if (partial.size() != expected_total)
-        throw Error("download: size mismatch after reassembly");
-      if (crc32(partial) != expected_crc) {
-        partial.clear();  // corrupted somewhere; no byte is trustworthy
-        have_total = false;
-        throw Error("download: payload CRC mismatch");
-      }
-      out.data = mode == "raw"
-                     ? partial
-                     : compress::DeflateCodec().decompress(partial);
-      out.stats.bytes_on_wire = partial.size();
       out.stats.bytes_decoded = out.data.size();
       record_attempt();
       event({.stage = "stream",
              .bytes_wire = static_cast<std::int64_t>(out.stats.bytes_on_wire),
              .bytes_raw = static_cast<std::int64_t>(out.stats.bytes_decoded),
+             .blocks = selective ? static_cast<std::int64_t>(out.stats.blocks)
+                                 : -1,
              .attempt = out.attempts});
       event({.stage = "close"});
       return out;
@@ -1353,7 +1245,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
     }
   }
 
-  if (mode == "selective" && policy.salvage && !partial.empty()) {
+  if (selective && policy.salvage && !partial.empty()) {
     auto sr = compress::selective_salvage(partial);
     out.data = std::move(sr.data);
     out.recovery = sr.report;
@@ -1375,34 +1267,53 @@ std::size_t upload_resilient(std::uint16_t port, const std::string& name,
                              ByteSpan data,
                              const compress::SelectivePolicy& policy,
                              const TransferPolicy& tp, int* attempts) {
-  // One trace context across every replay: upload_once reuses the
-  // thread's current trace instead of minting per attempt.
-  obs::TraceContext ctx = obs::current_trace();
-  if (tp.trace && !ctx.valid()) ctx = obs::TraceContext::mint();
-  obs::TraceScope scope(tp.trace ? ctx : obs::TraceContext{});
+  // One trace context across every replay.
+  const obs::TraceContext ctx = client_trace(tp.trace);
+  obs::TraceScope scope(ctx);
+  const ClientEvents event{ctx.trace_id, name, "put"};
   Rng rng(tp.jitter_seed);
   std::string last_error;
   std::uint32_t busy_floor_ms = 0;
   for (int attempt = 0; attempt <= tp.max_retries; ++attempt) {
     if (attempt > 0) {
-      std::uint32_t wait = backoff_ms(tp, attempt, rng);
-      wait = std::max(wait, busy_floor_ms);
-      busy_floor_ms = 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-      obs::Event e;
-      e.stage = "retry";
-      e.side = "client";
-      e.trace_id = tp.trace ? ctx.trace_id : 0;
-      e.name = name;
-      e.mode = "put";
-      e.attempt = attempt + 1;
-      obs::EventLog::global().emit(e);
+      backoff(tp, attempt, rng, &busy_floor_ms);
+      event({.stage = "retry", .attempt = attempt + 1});
     }
     if (attempts) *attempts = attempt + 1;
+    // PUT replaces the whole file, so a replay after any failure is
+    // safe — no server-side partial state survives a dead connection.
     try {
-      // PUT replaces the whole file, so a replay after any failure is
-      // safe — no server-side partial state survives a dead connection.
-      return upload_once(port, name, data, policy, tp.timeout_ms);
+      ECOMP_TRACE_SPAN("net.upload", "net");
+      ECOMP_COUNT("net.round_trips");
+      const auto t0 = std::chrono::steady_clock::now();
+      Socket s = connect_local(port);
+      if (tp.timeout_ms) {
+        s.set_recv_timeout_ms(tp.timeout_ms);
+        s.set_send_timeout_ms(tp.timeout_ms);
+      }
+      event({.stage = "connect"});
+      send_frame(s, as_bytes(with_trace("PUT " + name, ctx)));
+      event({.stage = "request"});
+      compress::SelectiveStreamEncoder enc(data, policy);
+      std::size_t sent = 0;
+      while (!enc.done()) {
+        const Bytes chunk = enc.next_chunk();
+        if (!chunk.empty()) {
+          s.send_all(chunk);
+          sent += chunk.size();
+        }
+      }
+      const std::string status = ecomp::to_string(recv_frame(s));
+      if (status.rfind("OK stored", 0) != 0) {
+        event({.stage = "error", .err = "upload: " + status});
+        throw Error("upload: " + status);
+      }
+      ECOMP_SLIDING_OBSERVE("net.client.request_us", elapsed_us(t0));
+      event({.stage = "stream",
+             .bytes_wire = static_cast<std::int64_t>(sent),
+             .bytes_raw = static_cast<std::int64_t>(data.size())});
+      event({.stage = "close"});
+      return sent;
     } catch (const Error& e) {
       last_error = e.what();
       // A BUSY shed surfaces as "upload: BUSY <ms>" when the container

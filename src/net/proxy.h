@@ -14,8 +14,10 @@
 //     what it has. raw/full → status "OK <remaining> <total> <crc32>"
 //     (crc32 of the whole payload, so even raw mode is verifiable),
 //     then the remaining bytes length-framed; selective → "OK stream",
-//     then container bytes from the offset. Plain GET is unchanged, so
-//     old clients keep working.
+//     then container bytes from the offset. A selective cache miss at
+//     offset 0 streams while it encodes, exactly like GET; past 0 the
+//     container is built first, so "ERR bad offset" precedes any
+//     status. Plain GET is unchanged, so old clients keep working.
 //   upload:   "PUT <name>", then a streamed selective container; reply
 //             "OK stored <bytes>" once decoded and stored.
 //   overload: a connection refused by admission control receives a
@@ -24,6 +26,19 @@
 //             retry-after in their backoff and try again.
 //   Malformed, unknown, or failing requests get "ERR <reason>" and the
 //   connection is dropped; the server never dies with a client.
+//
+// Grammar: a request line is whitespace-separated tokens, exactly
+//   GET <mode> <name> | GET-RANGE <mode> <name> <offset> | PUT <name> |
+//   STATS [<format>]
+// plus at most one trailing trace token (below). <offset> is decimal
+// digits only and must fit 64 bits. Anything else — an extra or
+// missing token, a bad offset, a malformed trace token — gets
+// "ERR bad request".
+//
+// Limits: a control frame (request or status) is at most
+// kMaxControlFrame (64 KB), else "ERR bad frame"; a length-framed
+// payload (raw/full) is below 4 GiB (kMaxFramedPayload), else
+// "ERR payload too large" before any status.
 //
 // raw        — original bytes
 // full       — one deflate member for the whole file
@@ -44,17 +59,18 @@
 // requests for the same payload compress once.
 //
 // Tracing: a request line may end with an optional `trace=<16hex>`
-// token (minted client-side, see obs::TraceContext). The proxy strips
-// it, runs the request under that trace, echoes the token at the end of
-// every reply status, and stamps it into its span tracer and JSONL
-// event log. Requests without the token behave exactly as before.
+// token (minted client-side, see obs::TraceContext); a last token that
+// starts with "trace=" is always read as one. The proxy strips it, runs
+// the request under that trace, echoes the token at the end of every
+// reply status, and stamps it into its span tracer and JSONL event log.
+// Requests without the token behave exactly as before.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,7 +105,8 @@ struct MonitorConfig {
   /// Liveness: alert when an active connection makes no wire progress
   /// for this long (Delay faults, dead peers).
   double stall_timeout_s = 5.0;
-  /// Latency SLO on net.proxy.request_us.p99; 0 disables the rule.
+  /// Latency SLO on this proxy's net.proxy.request_us.p99; 0 disables
+  /// the rule.
   double latency_slo_ms = 0.0;
   /// Energy SLO line = Eq. 1 raw J/MB (shifted by `loss`) x this
   /// margin; measured J/MB-served above it for 2 samples alerts.
@@ -146,16 +163,15 @@ class FileStore {
   FileStore& operator=(const FileStore&) = delete;
 
   void put(std::string name, Bytes data);
-  /// Copy of the named file's bytes; throws if absent. A copy (not a
-  /// reference) because a concurrent PUT may replace the entry while a
-  /// GET streams it.
-  Bytes get(const std::string& name) const;
+  /// The named file's bytes; throws if absent. Shared, not borrowed: a
+  /// concurrent PUT may replace the entry while a GET streams it.
+  std::shared_ptr<const Bytes> get(const std::string& name) const;
   bool contains(const std::string& name) const;
-  std::map<std::string, Bytes> snapshot() const;
+  std::map<std::string, std::shared_ptr<const Bytes>> snapshot() const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, Bytes> files_;
+  std::map<std::string, std::shared_ptr<const Bytes>> files_;
 };
 
 /// Serves GET/PUT requests until stopped. The accept loop runs on an
@@ -198,8 +214,8 @@ class ProxyServer {
   void set_event_log(obs::EventLog* log);
 
   /// Point-in-time telemetry snapshot — what the STATS verb serves.
-  /// Histograms cover this instance's requests; counters mirror the
-  /// process-wide registry.
+  /// The net.proxy.*_us histograms cover this instance's requests only;
+  /// counters and the other histograms mirror the process-wide registry.
   obs::StatsSnapshot stats() const;
 
   /// The embedded monitor (nullptr in OFF builds or when disabled).
@@ -234,8 +250,10 @@ class ProxyServer {
 
   void serve();
   void handle(Socket client, std::uint64_t conn, Degrade degrade);
-  void handle_request(Socket& client, const std::string& req, ReqInfo* info,
-                      std::uint64_t conn, Degrade degrade,
+  /// Serve one parsed request line (split_request's tokens; none for a
+  /// line outside the grammar).
+  void handle_request(Socket& client, const std::vector<std::string>& req,
+                      ReqInfo* info, std::uint64_t conn, Degrade degrade,
                       ConnState& state);
   void emit(const obs::Event& e) const;
   /// Ledgered device-side energy estimate for a served download, J.
@@ -248,11 +266,6 @@ class ProxyServer {
   /// The cache key of one payload variant ("\x1f" keeps names from
   /// colliding with variant tags).
   std::string cache_key(const std::string& name, const char* variant) const;
-  /// Resolve `key` through the single-flight cache, building via
-  /// `build` when this request owns the flight.
-  std::shared_ptr<const Bytes> cached_payload(const std::string& key,
-                                              const std::function<Bytes()>&
-                                                  build);
 
   FileStore store_;
   compress::SelectivePolicy policy_;
@@ -309,11 +322,8 @@ class ProxyServer {
   /// proxy.cc, ON builds only), so OFF builds reference no monitor
   /// symbols at all.
   std::shared_ptr<obs::Monitor> monitor_;
-  obs::SlidingHistogram req_us_;        ///< all requests
-  obs::SlidingHistogram raw_us_;        ///< per-mode request latency
-  obs::SlidingHistogram full_us_;
-  obs::SlidingHistogram selective_us_;
-  obs::SlidingHistogram put_us_;
+  /// Request latency: every request, then raw, full, selective, put.
+  std::array<obs::SlidingHistogram, 5> latency_us_;
 
   std::thread thread_;
 };
@@ -347,7 +357,8 @@ Bytes download(std::uint16_t port, const std::string& name,
 /// Upload `data` as `name`: the client compresses block by block with
 /// `policy` while sending (the paper's upload direction, its stated
 /// future work); the server decodes and stores the original bytes.
-/// Returns the wire bytes sent.
+/// Returns the wire bytes sent. One attempt with no deadline:
+/// upload_resilient with max_retries = 0 and timeout_ms = 0.
 std::size_t upload(std::uint16_t port, const std::string& name,
                    ByteSpan data, const compress::SelectivePolicy& policy);
 

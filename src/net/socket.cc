@@ -176,7 +176,8 @@ Socket connect_local(std::uint16_t port) {
   return s;
 }
 
-void send_frame_header(const Socket& s, std::uint32_t payload_size) {
+void send_frame_header(const Socket& s, std::uint64_t payload_size) {
+  if (payload_size > kMaxFramedPayload) throw Error("net: frame too large");
   std::uint8_t hdr[4];
   for (int i = 0; i < 4; ++i)
     hdr[i] = static_cast<std::uint8_t>((payload_size >> (8 * i)) & 0xff);
@@ -192,8 +193,7 @@ std::uint32_t recv_frame_header(const Socket& s) {
 }
 
 void send_frame(const Socket& s, ByteSpan payload) {
-  if (payload.size() > 0xffffffffu) throw Error("net: frame too large");
-  send_frame_header(s, static_cast<std::uint32_t>(payload.size()));
+  send_frame_header(s, payload.size());
   s.send_all(payload);
 }
 

@@ -103,13 +103,17 @@ Socket connect_local(std::uint16_t port);
 /// request, and must be rejected before the allocation it asks for.
 inline constexpr std::uint32_t kMaxControlFrame = 64 * 1024;
 
+/// A framed payload's length must fit the u32 prefix: 4 GiB - 1 bytes.
+inline constexpr std::uint64_t kMaxFramedPayload = 0xffffffffu;
+
 /// Length-prefixed frame helpers (u32 LE length + payload). recv_frame
 /// rejects frames whose announced length exceeds `max_size` (throws
 /// Error) instead of allocating up to 4 GiB on a corrupted prefix.
 void send_frame(const Socket& s, ByteSpan payload);
 Bytes recv_frame(const Socket& s, std::uint32_t max_size = kMaxControlFrame);
-/// Frame header only — callers stream the payload themselves.
-void send_frame_header(const Socket& s, std::uint32_t payload_size);
+/// Frame header only — callers stream the payload themselves. Throws
+/// Error past kMaxFramedPayload rather than truncating the length.
+void send_frame_header(const Socket& s, std::uint64_t payload_size);
 std::uint32_t recv_frame_header(const Socket& s);
 
 }  // namespace ecomp::net

@@ -212,6 +212,57 @@ TEST_F(FaultFixture, OversizedControlFrameIsRejectedNotAllocated) {
   EXPECT_EQ(download(server_->port(), "f.xml", "selective"), data_);
 }
 
+/// Send one raw request line and return the proxy's status frame. The
+/// deadline turns a server still waiting on a misparsed request (a PUT
+/// that kept its extra token, say) into a failure instead of a hang.
+std::string request_status(std::uint16_t port, const std::string& line,
+                           ByteSpan body = {}) {
+  Socket s = connect_local(port);
+  s.set_recv_timeout_ms(5000);
+  send_frame(s, to_bytes(line));
+  s.send_all(body);
+  return ecomp::to_string(recv_frame(s));
+}
+
+TEST_F(FaultFixture, RequestLinesTakeExactlyTheirTokens) {
+  for (const char* bad :
+       {"GET-RANGE raw f.xml 0x10", "GET-RANGE raw f.xml 5junk",
+        "GET-RANGE raw f.xml -1", "GET-RANGE raw f.xml 18446744073709551616",
+        "GET raw f.xml extra", "GET-RANGE full f.xml 0 extra",
+        "PUT f.xml extra", "GET raw f.xml trace=zz", "STATS json extra"})
+    EXPECT_EQ(request_status(server_->port(), bad), "ERR bad request") << bad;
+
+  const std::string trace = " trace=0123456789abcdef";
+  for (const char* good :
+       {"GET raw f.xml", "GET full f.xml", "GET-RANGE raw f.xml 5",
+        "GET-RANGE full f.xml 0", "GET-RANGE selective f.xml 7",
+        "GET selective f.xml", "STATS", "STATS json"}) {
+    const std::string status = request_status(server_->port(), good + trace);
+    EXPECT_EQ(status.rfind("OK ", 0), 0u) << good << ": " << status;
+    EXPECT_TRUE(status.ends_with(trace)) << good << ": " << status;
+  }
+  const Bytes upload =
+      compress::selective_compress(data_, compress::SelectivePolicy::always())
+          .container;
+  const std::string stored =
+      request_status(server_->port(), "PUT up.xml" + trace, upload);
+  EXPECT_EQ(stored, "OK stored " + std::to_string(data_.size()) + trace);
+  EXPECT_EQ(download(server_->port(), "up.xml", "raw"), data_);
+}
+
+TEST(FrameLimits, HeaderRefusesLengthsPastFourGiB) {
+  // The u32 length prefix cannot carry 4 GiB; the header must refuse
+  // rather than wrap to a short length. No payload is ever allocated.
+  Listener listener(0);
+  Socket client = connect_local(listener.port());
+  Socket server = listener.accept();
+  EXPECT_THROW(send_frame_header(client, std::uint64_t{1} << 32), Error);
+  EXPECT_EQ(client.bytes_sent(), 0u);
+  send_frame_header(client, (std::uint64_t{1} << 32) - 1);
+  EXPECT_EQ(client.bytes_sent(), 4u);
+  EXPECT_EQ(recv_frame_header(server), 0xffffffffu);
+}
+
 TEST_F(FaultFixture, RecvFrameCapIsClientSideToo) {
   Listener listener(0);
   std::thread peer([&] {

@@ -619,7 +619,74 @@ TEST_F(MonitorProxyTest, StallWatchdogFiresOnDelayedConnection) {
   server.stop();
 }
 
+TEST_F(MonitorProxyTest, LatencySeriesArePerProxy) {
+  // Two proxies in one process, traffic to A only: each monitor's
+  // net.proxy.request_us series (what latency-slo watches) must come
+  // from its own proxy's requests, not from a process-wide copy.
+  net::ProxyServer a(store_with("f", 20000),
+                     compress::SelectivePolicy::always(),
+                     compress::kDefaultBlockSize, false, 1, fast_monitor());
+  net::ProxyServer b(store_with("f", 20000),
+                     compress::SelectivePolicy::always(),
+                     compress::kDefaultBlockSize, false, 1, fast_monitor());
+  for (int i = 0; i < 20; ++i) net::download(a.port(), "f", "raw");
+  await_ticks(a, 2);
+  await_ticks(b, 2);
+  const auto rate = [](const net::ProxyServer& s) {
+    for (const auto& [name, v] : s.monitor()->latest())
+      if (name == "net.proxy.request_us.rate") return v;
+    return -1.0;
+  };
+  EXPECT_GT(rate(a), 0.0);
+  EXPECT_EQ(rate(b), 0.0);
+  // Proxy counts live in the snapshot's own fields, not registry
+  // counters that every proxy in the process would share.
+  for (const auto& [name, v] : a.stats().counters)
+    EXPECT_NE(name.rfind("net.proxy.", 0), 0u) << name;
+  a.stop();
+  b.stop();
+}
+
 // ------------------------------------------------------ CLI surface
+
+TEST_F(MonitorProxyTest, StatsWatchRejectsNegativeCount) {
+  net::ProxyServer server(store_with("f", 20000),
+                          compress::SelectivePolicy::always());
+  const std::string snap = (dir_ / "snap.json").string();
+  cli::write_file(snap, as_bytes(std::string("earlier snapshot")));
+  EXPECT_EQ(run_cli({"stats", "--port", std::to_string(server.port()),
+                     "--watch", "--count", "-1", "--out", snap}),
+            2);
+  EXPECT_NE(err_.str().find("--count"), std::string::npos) << err_.str();
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_EQ(ecomp::to_string(cli::read_file(snap)), "earlier snapshot");
+  EXPECT_EQ(server.stats().requests_total, 0u);  // nothing was fetched
+  server.stop();
+}
+
+TEST_F(MonitorProxyTest, TopRejectsNegativeCount) {
+  net::ProxyServer server(store_with("f", 20000),
+                          compress::SelectivePolicy::always());
+  EXPECT_EQ(run_cli({"top", "--port", std::to_string(server.port()),
+                     "--count", "-3"}),
+            2);
+  EXPECT_NE(err_.str().find("--count"), std::string::npos) << err_.str();
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_EQ(server.stats().requests_total, 0u);
+  server.stop();
+}
+
+TEST_F(MonitorProxyTest, MonitorRejectsNegativeCount) {
+  net::ProxyServer server(store_with("f", 20000),
+                          compress::SelectivePolicy::always());
+  EXPECT_EQ(run_cli({"monitor", "--port", std::to_string(server.port()),
+                     "--rules", write_rules(kEnergyRules), "--count", "-1"}),
+            2);
+  EXPECT_NE(err_.str().find("--count"), std::string::npos) << err_.str();
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_EQ(server.stats().requests_total, 0u);
+  server.stop();
+}
 
 TEST_F(MonitorProxyTest, SeriesStatsPayloadAndTopRender) {
   net::ProxyServer server(store_with("f", 60000),

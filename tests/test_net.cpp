@@ -108,7 +108,7 @@ TEST(FileStoreTest, PutGetContains) {
   fs.put("a", {1, 2, 3});
   EXPECT_TRUE(fs.contains("a"));
   EXPECT_FALSE(fs.contains("b"));
-  EXPECT_EQ(fs.get("a"), (Bytes{1, 2, 3}));
+  EXPECT_EQ(*fs.get("a"), (Bytes{1, 2, 3}));
   EXPECT_THROW(fs.get("b"), Error);
 }
 
