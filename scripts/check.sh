@@ -63,14 +63,17 @@ echo "== preset 4: forced scalar (ECOMP_SIMD=OFF) =="
 # threaded codec suite on the always-compiled scalar fallbacks. The
 # simd label's differential tests degenerate to scalar-vs-scalar here,
 # but the codec byte-identity and BWT/Huffman reference checks still
-# exercise the full pipelines.
+# exercise the full pipelines. The salvage golden's crc_ok verdicts and
+# data CRCs were recorded with the vector CRC kernel, so the scalar CRC
+# must reproduce every line of it.
 cmake -B build-check-scalar -S . -DECOMP_OBS=ON -DECOMP_SIMD=OFF >/dev/null
 cmake --build build-check-scalar -j "$JOBS" \
-  --target ecomp_tests ecomp_simd_tests ecomp_concurrency_tests
+  --target ecomp_tests ecomp_simd_tests ecomp_concurrency_tests \
+  ecomp_robustness_tests
 ctest --test-dir build-check-scalar -L "simd|concurrency" \
   --output-on-failure -j "$JOBS"
 ctest --test-dir build-check-scalar --output-on-failure -j "$JOBS" \
-  -R "Codec|Deflate|Huffman|Bwt|Lz77|Bitio|Container"
+  -R "Codec|Deflate|Huffman|Bwt|Lz77|Bitio|Container|SalvageGolden"
 
 echo
 echo "== ECOMP_SIMD=OFF link hygiene: zero vector-ISA kernels =="

@@ -449,8 +449,14 @@ Bytes DeflateCodec::decompress(ByteSpan input) const {
   ECOMP_TRACE_SPAN("deflate.decompress", "codec");
   ECOMP_SLIDING_TIMER("deflate.decompress_us");
   const Header h = read_header(input, kDeflateMagic);
-  BitReaderLsb br(input.subspan(h.payload_offset));
-  Bytes out = inflate_raw(br, h.original_size);
+  const ByteSpan payload = input.subspan(h.payload_offset);
+  BitReaderLsb br(payload);
+  // The header's size is only a reservation hint, and a damaged one can
+  // claim anything: never reserve more than the payload can expand to.
+  // check_crc rejects the lie.
+  Bytes out = inflate_raw(
+      br, static_cast<std::size_t>(std::min<std::uint64_t>(
+              h.original_size, payload.size() * kMaxDeflateExpansion)));
   {
     ECOMP_PROF_ZONE("crc32");
     check_crc(h, out);

@@ -142,44 +142,105 @@ SelectiveResult selective_compress(ByteSpan input,
 
 namespace {
 
+/// Read a varint at `pos`; nullopt (pos untouched) until all of it has
+/// arrived.
+std::optional<std::uint64_t> try_varint(ByteSpan in, std::size_t& pos) {
+  std::uint64_t v = 0;
+  int shift = 0;
+  std::size_t p = pos;
+  while (true) {
+    if (p >= in.size()) return std::nullopt;
+    if (shift >= 64) throw Error("selective: varint overflow");
+    const std::uint8_t b = in[p++];
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if (!(b & 0x80)) break;
+    shift += 7;
+  }
+  pos = p;
+  return v;
+}
+
+/// Read the container header at `pos`, advancing past it; nullopt (pos
+/// untouched) until all of it has arrived. Throws on a wrong magic.
+std::optional<SelectiveHeader> read_selective_header(ByteSpan in,
+                                                     std::size_t& pos) {
+  // magic(2) | varint size | crc(4) | varint block_size | varint n_blocks
+  std::size_t p = pos;
+  if (in.size() - p < 2) return std::nullopt;
+  if ((in[p] | in[p + 1] << 8) != kSelectiveMagic)
+    throw Error("selective: bad container magic");
+  p += 2;
+  SelectiveHeader h;
+  const auto size = try_varint(in, p);
+  if (!size || in.size() - p < 4) return std::nullopt;
+  h.original_size = *size;
+  for (int i = 0; i < 4; ++i)
+    h.crc |= static_cast<std::uint32_t>(in[p + i]) << (8 * i);
+  p += 4;
+  const auto block_size = try_varint(in, p);
+  if (!block_size) return std::nullopt;
+  const auto n_blocks = try_varint(in, p);
+  if (!n_blocks) return std::nullopt;
+  h.block_size = *block_size;
+  h.n_blocks = *n_blocks;
+  pos = p;
+  return h;
+}
+
+struct BlockFrame {
+  std::uint8_t flag = 0;
+  ByteSpan payload;
+};
+
+/// Read the block frame (flag | varint payload_size | payload) at `pos`,
+/// advancing past it; nullopt (pos untouched) until its whole payload
+/// has arrived. A flag other than 0/1 throws as soon as it arrives,
+/// unless `tolerant` (the caller then writes the block off).
+std::optional<BlockFrame> read_block_frame(ByteSpan in, std::size_t& pos,
+                                           bool tolerant) {
+  std::size_t p = pos;
+  if (p >= in.size()) return std::nullopt;
+  BlockFrame f;
+  f.flag = in[p++];
+  if (f.flag > 1 && !tolerant) throw Error("selective: bad block flag");
+  const auto payload_size = try_varint(in, p);
+  if (!payload_size || in.size() - p < *payload_size) return std::nullopt;
+  f.payload = in.subspan(p, static_cast<std::size_t>(*payload_size));
+  pos = p + f.payload.size();
+  return f;
+}
+
 struct ParsedBlock {
   BlockInfo info;
-  std::size_t payload_offset = 0;
+  ByteSpan payload;
 };
 
 struct ParsedContainer {
-  Header header;
-  std::size_t block_size = 0;
+  SelectiveHeader header;
   std::vector<ParsedBlock> blocks;
 };
 
+/// The whole-buffer block table (selective_decompress, block_info).
 ParsedContainer parse(ByteSpan container) {
   ParsedContainer pc;
-  pc.header = read_header(container, kSelectiveMagic);
-  std::size_t pos = pc.header.payload_offset;
-  pc.block_size = get_varint(container, pos);
-  const std::uint64_t n_blocks = get_varint(container, pos);
+  std::size_t pos = 0;
+  const auto header = read_selective_header(container, pos);
+  if (!header) throw Error("selective: truncated header");
+  pc.header = *header;
   std::uint64_t raw_total = 0;
-  for (std::uint64_t b = 0; b < n_blocks; ++b) {
-    if (pos >= container.size()) throw Error("selective: truncated flags");
-    const std::uint8_t flag = container[pos++];
-    if (flag > 1) throw Error("selective: bad block flag");
-    ParsedBlock blk;
-    blk.info.compressed = flag == 1;
-    blk.info.payload_size = get_varint(container, pos);
-    blk.payload_offset = pos;
-    if (pos + blk.info.payload_size > container.size())
-      throw Error("selective: truncated block payload");
-    pos += blk.info.payload_size;
-    // Raw size: directly for raw blocks, from the member header for
-    // compressed ones.
+  for (std::uint64_t b = 0; b < pc.header.n_blocks; ++b) {
+    const auto frame = read_block_frame(container, pos, false);
+    if (!frame) throw Error("selective: truncated block payload");
+    ParsedBlock blk{{frame->payload.size(), frame->payload.size(),
+                     frame->flag == 1},
+                    frame->payload};
+    // Raw size: the payload's own for raw blocks, the member header's
+    // for compressed ones — which must not claim an impossible ratio.
     if (blk.info.compressed) {
-      const Header mh = read_header(
-          container.subspan(blk.payload_offset, blk.info.payload_size),
-          kDeflateMagic);
-      blk.info.raw_size = mh.original_size;
-    } else {
-      blk.info.raw_size = blk.info.payload_size;
+      blk.info.raw_size =
+          read_header(blk.payload, kDeflateMagic).original_size;
+      if (blk.info.raw_size / kMaxDeflateExpansion > blk.info.payload_size)
+        throw Error("selective: block claims an impossible size");
     }
     raw_total += blk.info.raw_size;
     pc.blocks.push_back(blk);
@@ -194,38 +255,36 @@ ParsedContainer parse(ByteSpan container) {
 Bytes selective_decompress(ByteSpan container, unsigned threads) {
   ECOMP_TRACE_SPAN("selective.decompress", "codec");
   const ParsedContainer pc = parse(container);
+  const Header h{pc.header.original_size, pc.header.crc};
   const DeflateCodec codec;
 
   const unsigned workers = static_cast<unsigned>(
       std::min<std::size_t>(threads, pc.blocks.size()));
   if (workers <= 1) {
     Bytes out;
-    out.reserve(pc.header.original_size);
+    out.reserve(h.original_size);
     for (const auto& blk : pc.blocks) {
-      const ByteSpan payload =
-          container.subspan(blk.payload_offset, blk.info.payload_size);
       if (blk.info.compressed) {
-        const Bytes raw = codec.decompress(payload);
+        const Bytes raw = codec.decompress(blk.payload);
         out.insert(out.end(), raw.begin(), raw.end());
       } else {
-        out.insert(out.end(), payload.begin(), payload.end());
+        out.insert(out.end(), blk.payload.begin(), blk.payload.end());
       }
     }
-    check_crc(pc.header, out);
+    check_crc(h, out);
     return out;
   }
 
   // Parallel mode: the block table gives every block's output offset up
   // front (prefix sum of raw sizes), so workers inflate straight into
   // disjoint slices of the final buffer; raw blocks are plain copies.
-  Bytes out(pc.header.original_size);
+  Bytes out(h.original_size);
   std::vector<std::future<void>> pending;
   pending.reserve(pc.blocks.size());
   par::ThreadPool pool(workers);
   std::size_t off = 0;
   for (const auto& blk : pc.blocks) {
-    const ByteSpan payload =
-        container.subspan(blk.payload_offset, blk.info.payload_size);
+    const ByteSpan payload = blk.payload;
     std::uint8_t* dst = out.data() + off;
     const std::size_t expect = blk.info.raw_size;
     off += expect;
@@ -241,7 +300,7 @@ Bytes selective_decompress(ByteSpan container, unsigned threads) {
     }));
   }
   for (auto& fut : pending) fut.get();
-  check_crc(pc.header, out);
+  check_crc(h, out);
   return out;
 }
 
@@ -253,106 +312,141 @@ std::vector<BlockInfo> selective_block_info(ByteSpan container) {
   return infos;
 }
 
-Bytes selective_decode_block(const BlockInfo& info, ByteSpan payload,
-                             bool is_compressed) {
-  if (payload.size() != info.payload_size)
-    throw Error("selective: payload size mismatch");
-  if (!is_compressed) return Bytes(payload.begin(), payload.end());
-  return DeflateCodec().decompress(payload);
-}
-
 SalvageResult selective_salvage(ByteSpan container) {
   ECOMP_TRACE_SPAN("selective.salvage", "codec");
   SalvageResult res;
-  RecoveryReport& rep = res.report;
-
-  Header h;
   std::size_t pos = 0;
-  std::uint64_t block_size = 0, n_blocks = 0;
+  std::optional<SelectiveHeader> h;
   try {
-    h = read_header(container, kSelectiveMagic);
-    pos = h.payload_offset;
-    block_size = get_varint(container, pos);
-    n_blocks = get_varint(container, pos);
+    h = read_selective_header(container, pos);
   } catch (const Error&) {
-    rep.framing_truncated = true;
-    return res;
   }
   // A corrupted header varint can claim an absurd size; don't let it
-  // drive zero-fill allocations. A real container never expands a block
-  // by more than ~1032x (deflate's stored-block bound is far tighter).
-  constexpr std::uint64_t kMaxExpansion = 4096;
-  if (block_size == 0 || n_blocks > container.size() ||
-      h.original_size / kMaxExpansion > container.size()) {
-    rep.framing_truncated = true;
+  // drive zero-fill allocations.
+  if (!h || h->block_size == 0 || h->n_blocks > container.size() ||
+      h->original_size / kMaxDeflateExpansion > container.size()) {
+    res.report.framing_truncated = true;
     return res;
   }
-
-  const DeflateCodec codec;
-  Bytes& out = res.data;
-  out.reserve(h.original_size);
-  for (std::uint64_t b = 0; b < n_blocks; ++b) {
-    const std::uint64_t done = b * block_size;
-    if (done >= h.original_size) break;  // over-declared block count
-    const std::uint64_t expected_raw =
-        std::min<std::uint64_t>(block_size, h.original_size - done);
-
-    // Parse this block's framing. If it is gone, so is every boundary
-    // after it: the tail cannot be located and is lost outright.
-    std::uint8_t flag = 0;
-    std::uint64_t payload_size = 0;
-    std::size_t payload_off = 0;
-    try {
-      if (pos >= container.size()) throw Error("selective: truncated");
-      flag = container[pos];
-      std::size_t p = pos + 1;
-      payload_size = get_varint(container, p);
-      payload_off = p;
-      if (payload_off + payload_size > container.size())
-        throw Error("selective: truncated block payload");
-    } catch (const Error&) {
-      rep.framing_truncated = true;
-      rep.blocks_lost += n_blocks - b;
-      rep.bytes_lost += h.original_size - done;
-      rep.blocks_total = n_blocks;
-      rep.crc_ok = false;
-      return res;
+  SelectiveStreamDecoder dec;
+  dec.set_tolerant(true);
+  res.data.reserve(h->original_size);
+  try {
+    // Fed in slices, as a socket would feed it: the decoder then holds
+    // about a block and a slice, not a second copy of the container.
+    constexpr std::size_t kSlice = std::size_t{1} << 20;
+    for (std::size_t off = 0; off < container.size() && !dec.finished();
+         off += kSlice) {
+      dec.feed(container.subspan(off,
+                                 std::min(kSlice, container.size() - off)));
+      while (auto block = dec.poll())
+        res.data.insert(res.data.end(), block->begin(), block->end());
     }
-    pos = payload_off + payload_size;
-    ++rep.blocks_total;
+  } catch (const Error&) {
+    // Framing destroyed: every boundary after it is gone with it, and
+    // finish() books the tail as lost.
+  }
+  res.report = dec.finish();
+  return res;
+}
 
-    // Decode. A corrupted flag, a failed inflate, a member-CRC mismatch
-    // or a wrong decoded size all cost exactly this block: zero-fill to
-    // the expected size and continue at the next boundary.
-    Bytes raw;
-    bool ok = flag <= 1;
+void SelectiveStreamDecoder::feed(ByteSpan chunk) {
+  // Reclaim the consumed prefix once it is at least half the buffer:
+  // compaction then costs O(1) per byte however the input arrives.
+  if (pos_ > 0 && pos_ >= buf_.size() / 2) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+  }
+  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
+  fed_ += chunk.size();
+}
+
+bool SelectiveStreamDecoder::finished() const {
+  return header_ && (blocks_done_ == header_->n_blocks ||
+                     (tolerant_ && decoded_ >= header_->original_size));
+}
+
+std::optional<Bytes> SelectiveStreamDecoder::poll() {
+  try {
+    const ByteSpan in(buf_);
+    if (!header_) {
+      header_ = read_selective_header(in, pos_);
+      if (!header_) return std::nullopt;
+    }
+    if (finished()) return std::nullopt;
+    const auto frame = read_block_frame(in, pos_, tolerant_);
+    if (!frame) return std::nullopt;
+    // What this block must decode to for downstream offsets to line up —
+    // the zero-fill size when a damaged block is skipped in tolerant mode.
+    const std::uint64_t expected = std::min<std::uint64_t>(
+        header_->block_size, header_->original_size > decoded_
+                                 ? header_->original_size - decoded_
+                                 : 0);
+    Bytes block;
+    bool ok = frame->flag <= 1;
     if (ok) {
+      ECOMP_SLIDING_TIMER("selective.decode_block_us");
       try {
-        const ByteSpan payload = container.subspan(payload_off, payload_size);
-        raw = flag == 1 ? codec.decompress(payload)
-                        : Bytes(payload.begin(), payload.end());
-        ok = raw.size() == expected_raw;
+        block = frame->flag == 1
+                    ? DeflateCodec().decompress(frame->payload)
+                    : Bytes(frame->payload.begin(), frame->payload.end());
+        if (block.size() != expected)
+          throw Error("selective: block decodes to the wrong size");
       } catch (const Error&) {
+        if (!tolerant_) throw;
         ok = false;
       }
     }
+    // A damaged header must not turn a lost block into a giant
+    // zero-fill: the bytes fed so far bound what it could have held.
+    if (!ok && (decoded_ + expected) / kMaxDeflateExpansion > fed_)
+      throw Error("selective: lost block larger than the stream can hold");
+    ++recovery_.blocks_total;
     if (ok) {
-      out.insert(out.end(), raw.begin(), raw.end());
-      ++rep.blocks_recovered;
-      rep.bytes_recovered += raw.size();
+      ++recovery_.blocks_recovered;
+      recovery_.bytes_recovered += block.size();
     } else {
-      out.insert(out.end(), static_cast<std::size_t>(expected_raw), 0);
-      ++rep.blocks_lost;
-      rep.bytes_lost += expected_raw;
+      block.assign(static_cast<std::size_t>(expected), 0);
+      ++recovery_.blocks_lost;
+      recovery_.bytes_lost += expected;
     }
+    ++blocks_done_;
+    decoded_ += block.size();
+    running_crc_.update(block);
+    infos_.push_back({block.size(), frame->payload.size(), frame->flag == 1});
+    return block;
+  } catch (...) {
+    failed_ = true;
+    throw;
   }
-  if (out.size() < h.original_size) {
-    // Fewer blocks declared than the size needs: missing tail.
-    rep.framing_truncated = true;
-    rep.bytes_lost += h.original_size - out.size();
+}
+
+void SelectiveStreamDecoder::verify() {
+  if (!finished()) throw Error("selective: verify before stream finished");
+  recovery_.crc_ok = decoded_ == header_->original_size &&
+                     running_crc_.value() == header_->crc;
+  if (tolerant_ || recovery_.crc_ok) return;
+  failed_ = true;
+  throw Error(decoded_ != header_->original_size
+                  ? "selective: decoded size mismatch"
+                  : "selective: CRC mismatch");
+}
+
+const RecoveryReport& SelectiveStreamDecoder::finish() {
+  if (finished() && (!tolerant_ || decoded_ == header_->original_size)) {
+    verify();  // tolerant mode records crc_ok instead of throwing
+    return recovery_;
   }
-  rep.crc_ok = out.size() == h.original_size && crc32(out) == h.crc;
-  return res;
+  if (!tolerant_) throw Error("selective: stream ended early");
+  recovery_.framing_truncated = true;
+  recovery_.crc_ok = false;
+  if (header_) {
+    recovery_.blocks_total = header_->n_blocks;
+    recovery_.blocks_lost += header_->n_blocks - blocks_done_;
+    if (header_->original_size > decoded_)
+      recovery_.bytes_lost += header_->original_size - decoded_;
+  }
+  return recovery_;
 }
 
 /// Parallel-mode state: the codec the workers share, the pool, and the

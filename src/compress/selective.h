@@ -14,9 +14,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "compress/codec.h"
+#include "util/crc32.h"
 
 namespace ecomp::compress {
 
@@ -79,10 +81,6 @@ Bytes selective_decompress(ByteSpan container, unsigned threads = 1);
 /// Parse the container's block table without decoding payloads.
 std::vector<BlockInfo> selective_block_info(ByteSpan container);
 
-/// Decode a single block payload (flag + payload bytes as stored).
-Bytes selective_decode_block(const BlockInfo& info, ByteSpan payload,
-                             bool is_compressed);
-
 /// What a tolerant decode of a damaged container managed to recover.
 /// Because blocks are independently decodable, one corrupted payload
 /// loses one block, not the file: the decoder skips to the next block
@@ -110,11 +108,90 @@ struct SalvageResult {
   RecoveryReport report;
 };
 
-/// Best-effort decode of a corrupted or truncated selective container.
-/// Never throws on damaged content: whatever blocks still decode are
-/// salvaged and the report says what was lost. (A container whose
-/// header is unreadable yields zero bytes and a fully-lost report.)
+/// Best-effort decode of a corrupted or truncated selective container:
+/// a tolerant SelectiveStreamDecoder run over it. Never throws
+/// on damaged content: whatever blocks still decode are salvaged and
+/// the report says what was lost. (A container whose header is
+/// unreadable or implausible yields zero bytes and a fully-lost report.)
 SalvageResult selective_salvage(ByteSpan container);
+
+/// The container header's fields (the layout above, up to the blocks).
+struct SelectiveHeader {
+  std::uint64_t original_size = 0;
+  std::uint32_t crc = 0;
+  std::uint64_t block_size = 0;
+  std::uint64_t n_blocks = 0;
+};
+
+/// Push-based streaming decoder — the receiving half of the paper's
+/// interleaving scheme (§4.1), and the one decoder every stream of the
+/// container goes through (downloads, uploads, salvage). feed()
+/// appends received bytes; poll() returns the next fully received,
+/// decoded block, or nullopt until more bytes arrive. Its state carries
+/// across sources, so a resumed transfer keeps decoding where the
+/// broken one stopped.
+class SelectiveStreamDecoder {
+ public:
+  void feed(ByteSpan chunk);
+
+  /// Decode the next complete block if its payload has fully arrived.
+  /// Throws if it fails to decode or decodes to any size but the one
+  /// the header implies (tolerant mode: see set_tolerant()).
+  std::optional<Bytes> poll();
+
+  /// Tolerant mode (salvage's rules): a block whose payload fails to
+  /// decode (bad flag, inflate error, member-CRC mismatch, wrong size)
+  /// is zero-filled to its expected size instead of throwing, so the
+  /// stream skips to the next block boundary and keeps going; the
+  /// stream ends once original_size bytes are out; verify() records the
+  /// CRC outcome in recovery() instead of throwing. Framing damage
+  /// still throws — a destroyed boundary ends the stream either way —
+  /// and so does a lost block larger than kMaxDeflateExpansion times the
+  /// bytes fed so far could encode (a damaged header's zero-fill bomb).
+  void set_tolerant(bool on) { tolerant_ = on; }
+
+  /// What was lost and recovered so far (meaningful in tolerant mode).
+  const RecoveryReport& recovery() const { return recovery_; }
+
+  /// True once every block of the container has been decoded (tolerant
+  /// mode: or once original_size bytes have).
+  bool finished() const;
+
+  /// True once a poll() or verify() threw: the stream is poisoned, and
+  /// only a fresh decoder can start it over.
+  bool failed() const { return failed_; }
+
+  /// Container bytes fed so far — where a resumed transfer picks up.
+  std::uint64_t bytes_fed() const { return fed_; }
+
+  /// Verify the container CRC over everything decoded so far; call once
+  /// finished(). Throws on mismatch or if not finished (tolerant mode
+  /// records the outcome in recovery().crc_ok instead of throwing).
+  void verify();
+
+  /// Close the stream out after its last byte: verify() a finished
+  /// stream; otherwise strict mode throws, and tolerant mode books
+  /// every undelivered block and byte as lost (framing_truncated), the
+  /// way salvage accounts a missing tail. Call once.
+  const RecoveryReport& finish();
+
+  /// Per-block sizes/decisions observed so far (one entry per block
+  /// already returned by poll()); feeds the transfer simulator.
+  const std::vector<BlockInfo>& block_infos() const { return infos_; }
+
+ private:
+  Bytes buf_;
+  std::size_t pos_ = 0;  // consumed prefix of buf_
+  std::uint64_t fed_ = 0;
+  std::optional<SelectiveHeader> header_;
+  std::uint64_t blocks_done_ = 0;
+  std::uint64_t decoded_ = 0;
+  Crc32 running_crc_;
+  std::vector<BlockInfo> infos_;
+  bool tolerant_ = false;
+  bool failed_ = false;
+  RecoveryReport recovery_;
+};
 
 /// Incremental producer of a selective container: emits the header,
 /// then one encoded block per pull. This is the proxy side of §5's

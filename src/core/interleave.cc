@@ -1,214 +1,54 @@
 #include "core/interleave.h"
 
-#include <algorithm>
 #include <exception>
 #include <thread>
 
-#include "compress/container.h"
-#include "compress/deflate.h"
-#include "compress/selective.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/spsc_queue.h"
 
 namespace ecomp::core {
-namespace {
-
-/// Try to read a varint from `data` at `pos`; returns nullopt when more
-/// bytes are needed (never throws for truncation, unlike get_varint).
-std::optional<std::uint64_t> try_varint(ByteSpan data, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  std::size_t p = pos;
-  while (true) {
-    if (p >= data.size()) return std::nullopt;
-    if (shift >= 64) throw Error("stream: varint overflow");
-    const std::uint8_t b = data[p++];
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) break;
-    shift += 7;
-  }
-  pos = p;
-  return v;
-}
-
-}  // namespace
-
-void SelectiveStreamDecoder::feed(ByteSpan chunk) {
-  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
-}
-
-bool SelectiveStreamDecoder::try_parse_header() {
-  // magic(2) | varint size | crc(4) | varint block_size | varint n_blocks
-  std::size_t p = pos_;
-  if (buf_.size() - p < 2) return false;
-  const std::uint16_t magic =
-      static_cast<std::uint16_t>(buf_[p] | (buf_[p + 1] << 8));
-  if (magic != compress::kSelectiveMagic)
-    throw Error("stream: bad container magic");
-  p += 2;
-  const auto size = try_varint(buf_, p);
-  if (!size) return false;
-  if (buf_.size() - p < 4) return false;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i)
-    crc |= static_cast<std::uint32_t>(buf_[p + i]) << (8 * i);
-  p += 4;
-  const auto block_size = try_varint(buf_, p);
-  if (!block_size) return false;
-  const auto n_blocks = try_varint(buf_, p);
-  if (!n_blocks) return false;
-
-  original_size_ = *size;
-  expected_crc_ = crc;
-  block_size_ = *block_size;
-  n_blocks_ = *n_blocks;
-  pos_ = p;
-  header_done_ = true;
-  return true;
-}
-
-std::optional<Bytes> SelectiveStreamDecoder::poll() {
-  if (!header_done_ && !try_parse_header()) return std::nullopt;
-  if (blocks_done_ >= n_blocks_) return std::nullopt;
-
-  // flag(1) | varint payload_size | payload
-  std::size_t p = pos_;
-  if (buf_.size() - p < 1) return std::nullopt;
-  const std::uint8_t flag = buf_[p++];
-  if (flag > 1 && !tolerant_) throw Error("stream: bad block flag");
-  const auto payload_size = try_varint(buf_, p);
-  if (!payload_size) return std::nullopt;
-  if (buf_.size() - p < *payload_size) return std::nullopt;
-
-  const ByteSpan payload = ByteSpan(buf_).subspan(p, *payload_size);
-  // What this block must decode to for downstream offsets to line up —
-  // the zero-fill size when a damaged block is skipped in tolerant mode.
-  const std::uint64_t expected =
-      std::min<std::uint64_t>(block_size_,
-                              original_size_ > decoded_bytes_
-                                  ? original_size_ - decoded_bytes_
-                                  : 0);
-  Bytes block;
-  bool ok = flag <= 1;
-  if (ok) {
-    ECOMP_SLIDING_TIMER("selective.decode_block_us");
-    try {
-      if (flag == 1) {
-        block = compress::DeflateCodec().decompress(payload);
-      } else {
-        block.assign(payload.begin(), payload.end());
-      }
-      if (tolerant_ && block.size() != expected) ok = false;
-    } catch (const Error&) {
-      if (!tolerant_) throw;
-      ok = false;
-    }
-  }
-  ++recovery_.blocks_total;
-  if (!ok) {
-    block.assign(static_cast<std::size_t>(expected), 0);
-    ++recovery_.blocks_lost;
-    recovery_.bytes_lost += expected;
-  } else {
-    ++recovery_.blocks_recovered;
-    recovery_.bytes_recovered += block.size();
-  }
-  pos_ = p + *payload_size;
-  ++blocks_done_;
-  running_crc_.update(block);
-  decoded_bytes_ += block.size();
-  infos_.push_back({block.size(), static_cast<std::size_t>(*payload_size),
-                    flag == 1});
-
-  // Reclaim consumed buffer space occasionally.
-  if (pos_ > 1 << 20) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-  return block;
-}
-
-void SelectiveStreamDecoder::verify() {
-  if (!finished()) throw Error("stream: verify before stream finished");
-  recovery_.crc_ok = decoded_bytes_ == original_size_ &&
-                     running_crc_.value() == expected_crc_;
-  if (tolerant_) return;
-  if (decoded_bytes_ != original_size_)
-    throw Error("stream: decoded size mismatch");
-  if (running_crc_.value() != expected_crc_)
-    throw Error("stream: CRC mismatch");
-}
-
-namespace {
-
-/// Close out a finished-or-truncated stream: verify when complete, and
-/// in tolerant mode fold a truncated tail into the recovery report the
-/// same way selective_salvage accounts a missing tail. Shared by both
-/// execution modes so their outcomes are identical by construction.
-compress::RecoveryReport finalize_stream(SelectiveStreamDecoder& dec,
-                                         const Bytes& out, bool tolerant) {
-  if (dec.finished()) {
-    dec.verify();  // tolerant mode records crc_ok instead of throwing
-    return dec.recovery();
-  }
-  if (!tolerant) throw Error("InterleavedDownloader: source ended early");
-  compress::RecoveryReport rep = dec.recovery();
-  rep.framing_truncated = true;
-  rep.crc_ok = false;
-  rep.blocks_total = dec.blocks_total();
-  rep.blocks_lost += dec.blocks_total() - dec.blocks_decoded();
-  if (dec.original_size() > out.size())
-    rep.bytes_lost += dec.original_size() - out.size();
-  return rep;
-}
-
-}  // namespace
 
 Bytes InterleavedDownloader::run(const ChunkSource& read_chunk,
                                  const BlockSink& on_block,
                                  std::vector<compress::BlockInfo>* infos)
     const {
-  if (!read_chunk) throw Error("InterleavedDownloader: null source");
-  recovery_ = {};
-  return opt_.threads >= 2 ? run_pipelined(read_chunk, on_block, infos)
-                           : run_serial(read_chunk, on_block, infos);
-}
-
-Bytes InterleavedDownloader::run_serial(
-    const ChunkSource& read_chunk, const BlockSink& on_block,
-    std::vector<compress::BlockInfo>* infos) const {
   SelectiveStreamDecoder dec;
   dec.set_tolerant(opt_.tolerant);
   Bytes out;
-  Bytes chunk(opt_.chunk_bytes);
-  bool eof = false;
-  while (!dec.finished()) {
-    // Drain every block that is already complete (this is the work the
-    // pipelined mode overlaps with the next receive for real).
-    while (auto block = dec.poll()) {
-      if (on_block) on_block(*block);
-      out.insert(out.end(), block->begin(), block->end());
-    }
-    if (dec.finished() || eof) break;
-    const std::size_t n = read_chunk(chunk.data(), chunk.size());
-    if (n == 0) {
-      eof = true;
-      continue;
-    }
-    if (n > chunk.size())
-      throw Error("InterleavedDownloader: source overran buffer");
-    dec.feed(ByteSpan(chunk.data(), n));
-  }
-  recovery_ = finalize_stream(dec, out, opt_.tolerant);
+  feed(dec, read_chunk, out, on_block);
+  recovery_ = dec.finish();
   if (infos) *infos = dec.block_infos();
   return out;
 }
 
-Bytes InterleavedDownloader::run_pipelined(
-    const ChunkSource& read_chunk, const BlockSink& on_block,
-    std::vector<compress::BlockInfo>* infos) const {
+void InterleavedDownloader::feed(SelectiveStreamDecoder& dec,
+                                 const ChunkSource& read_chunk, Bytes& out,
+                                 const BlockSink& on_block) const {
+  if (!read_chunk) throw Error("InterleavedDownloader: null source");
+  // Decode every block that is already complete (this is the work the
+  // pipelined mode overlaps with the next receive for real); true once
+  // the container is.
+  const auto drain = [&] {
+    while (auto block = dec.poll()) {
+      if (on_block) on_block(*block);
+      out.insert(out.end(), block->begin(), block->end());
+    }
+    return dec.finished();
+  };
+
+  if (opt_.threads < 2) {
+    Bytes chunk(opt_.chunk_bytes);
+    while (!drain()) {
+      const std::size_t n = read_chunk(chunk.data(), chunk.size());
+      if (n == 0) return;
+      if (n > chunk.size())
+        throw Error("InterleavedDownloader: source overran buffer");
+      dec.feed(ByteSpan(chunk.data(), n));
+    }
+    return;
+  }
+
   ECOMP_TRACE_SPAN("interleave.pipelined", "core");
   par::SpscQueue<Bytes> queue(opt_.queue_chunks);
   std::exception_ptr feed_error;  // read only after join()
@@ -236,16 +76,8 @@ Bytes InterleavedDownloader::run_pipelined(
     queue.close();
   });
 
-  SelectiveStreamDecoder dec;
-  dec.set_tolerant(opt_.tolerant);
-  Bytes out;
   try {
-    while (!dec.finished()) {
-      while (auto block = dec.poll()) {
-        if (on_block) on_block(*block);
-        out.insert(out.end(), block->begin(), block->end());
-      }
-      if (dec.finished()) break;
+    while (!drain()) {
       auto chunk = queue.pop();
       if (!chunk) break;  // EOF (or feeder failed; sorted out below)
       dec.feed(*chunk);
@@ -258,10 +90,6 @@ Bytes InterleavedDownloader::run_pipelined(
   queue.close();
   feeder.join();
   if (feed_error) std::rethrow_exception(feed_error);
-
-  recovery_ = finalize_stream(dec, out, opt_.tolerant);
-  if (infos) *infos = dec.block_infos();
-  return out;
 }
 
 std::vector<sim::BlockTransfer> to_block_transfers(

@@ -1,85 +1,25 @@
-// Incremental decoding of selective containers — the receiving half of
-// the paper's interleaving scheme (§4.1): block i is decompressed while
-// block i+1 is still arriving. SelectiveStreamDecoder consumes arbitrary
-// byte chunks and yields decoded blocks as soon as each is complete;
-// InterleavedDownloader drives it from a chunk source.
+// The receiving half of the paper's interleaving scheme (§4.1): block i
+// is decompressed while block i+1 is still arriving. The streaming
+// decoder itself lives with the container format (compress/selective.h);
+// InterleavedDownloader is the one loop that feeds it from a byte source.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "compress/selective.h"
 #include "sim/transfer.h"
 #include "util/bytes.h"
-#include "util/crc32.h"
 
 namespace ecomp::core {
 
-/// Push-based streaming decoder for the kSelectiveMagic container.
-/// feed() appends received bytes; poll() returns the next fully
-/// received, decoded block, or nullopt until more bytes arrive.
-class SelectiveStreamDecoder {
- public:
-  void feed(ByteSpan chunk);
-
-  /// Decode the next complete block if its payload has fully arrived.
-  std::optional<Bytes> poll();
-
-  /// Tolerant mode: a block whose payload fails to decode (bad flag,
-  /// inflate error, member-CRC mismatch, wrong size) is zero-filled to
-  /// its expected size instead of throwing, so the stream skips to the
-  /// next block boundary and keeps going; verify() records the CRC
-  /// outcome in recovery() instead of throwing. Framing damage still
-  /// throws — a destroyed boundary ends the stream either way.
-  void set_tolerant(bool on) { tolerant_ = on; }
-
-  /// What was lost and recovered so far (meaningful in tolerant mode).
-  const compress::RecoveryReport& recovery() const { return recovery_; }
-
-  /// True once every block of the container has been decoded.
-  bool finished() const { return header_done_ && blocks_done_ == n_blocks_; }
-
-  std::uint64_t blocks_decoded() const { return blocks_done_; }
-  std::uint64_t blocks_total() const { return n_blocks_; }
-  std::uint64_t original_size() const { return original_size_; }
-  std::uint64_t bytes_buffered() const { return buf_.size() - pos_; }
-
-  /// Verify the container CRC over everything decoded so far; call once
-  /// finished(). Throws on mismatch or if not finished (tolerant mode
-  /// records the outcome in recovery().crc_ok instead of throwing).
-  void verify();
-
-  /// Per-block sizes/decisions observed so far (one entry per block
-  /// already returned by poll()); feeds the transfer simulator.
-  const std::vector<compress::BlockInfo>& block_infos() const {
-    return infos_;
-  }
-
- private:
-  bool try_parse_header();
-
-  Bytes buf_;
-  std::size_t pos_ = 0;  // consumed prefix of buf_
-
-  bool header_done_ = false;
-  std::uint64_t original_size_ = 0;
-  std::uint32_t expected_crc_ = 0;
-  std::uint64_t block_size_ = 0;
-  std::uint64_t n_blocks_ = 0;
-  std::uint64_t blocks_done_ = 0;
-  Crc32 running_crc_;
-  std::uint64_t decoded_bytes_ = 0;
-  std::vector<compress::BlockInfo> infos_;
-  bool tolerant_ = false;
-  compress::RecoveryReport recovery_;
-};
+using compress::SelectiveStreamDecoder;
 
 /// Pulls chunks from `read_chunk` (returning the number of bytes it
-/// produced; 0 = end of stream), feeding the stream decoder and
-/// collecting decoded blocks. Returns the reassembled original data,
-/// CRC-verified.
+/// produced; 0 = end of stream), feeding a SelectiveStreamDecoder and
+/// collecting decoded blocks. run() returns the reassembled original
+/// data, CRC-verified.
 ///
 /// Two execution modes:
 ///   * serial (threads <= 1): one loop alternating receive and decode —
@@ -114,25 +54,26 @@ class InterleavedDownloader {
   }
   explicit InterleavedDownloader(const Options& opt) : opt_(opt) {}
 
-  /// Run to completion. `on_block` (optional) observes each decoded
-  /// block in order — this is where an application consumes data before
-  /// the download has finished. `infos` (optional) receives the
-  /// per-block sizes/decisions.
+  /// Run to completion: a fresh decoder, feed(), then its finish().
+  /// `on_block` (optional) observes each decoded block in order — this
+  /// is where an application consumes data before the download has
+  /// finished. `infos` (optional) receives the per-block sizes/decisions.
   Bytes run(const ChunkSource& read_chunk,
             const BlockSink& on_block = nullptr,
             std::vector<compress::BlockInfo>* infos = nullptr) const;
+
+  /// run() without the close-out: drain `read_chunk` into `dec` until
+  /// the source ends or the container is complete, appending each
+  /// decoded block to `out`. The caller owns the decoder, so one decoder
+  /// can span several sources (a resumed transfer) before finish().
+  void feed(SelectiveStreamDecoder& dec, const ChunkSource& read_chunk,
+            Bytes& out, const BlockSink& on_block = nullptr) const;
 
   /// What the last run() lost and recovered (meaningful in tolerant
   /// mode, after run() returned).
   const compress::RecoveryReport& recovery() const { return recovery_; }
 
  private:
-  Bytes run_serial(const ChunkSource& read_chunk, const BlockSink& on_block,
-                   std::vector<compress::BlockInfo>* infos) const;
-  Bytes run_pipelined(const ChunkSource& read_chunk,
-                      const BlockSink& on_block,
-                      std::vector<compress::BlockInfo>* infos) const;
-
   Options opt_;
   mutable compress::RecoveryReport recovery_;
 };

@@ -808,24 +808,21 @@ void ProxyServer::handle_request(Socket& client,
     // Receive a streamed selective container, decoding block by block.
     core::SelectiveStreamDecoder dec;
     Bytes data;
-    Bytes buf(16 * 1024);
-    std::size_t wire = 0;
-    while (!dec.finished()) {
-      while (auto block = dec.poll())
-        data.insert(data.end(), block->begin(), block->end());
-      if (dec.finished()) break;
-      const std::size_t n = client.recv_some(buf.data(), buf.size());
-      if (n == 0) {
-        fail("ERR truncated upload");
-        return;
-      }
-      wire += n;
-      touch();
-      dec.feed(ByteSpan(buf.data(), n));
+    core::InterleavedDownloader().feed(
+        dec,
+        [&](std::uint8_t* dst, std::size_t max) {
+          const std::size_t n = client.recv_some(dst, max);
+          touch();
+          return n;
+        },
+        data);
+    if (!dec.finished()) {
+      fail("ERR truncated upload");
+      return;
     }
     dec.verify();
     info->raw_bytes = data.size();
-    info->wire_bytes = wire;
+    info->wire_bytes = dec.bytes_fed();
     const std::string status = "OK stored " + std::to_string(data.size());
     const std::int64_t blocks =
         static_cast<std::int64_t>(dec.block_infos().size());
@@ -1064,10 +1061,12 @@ DownloadOutcome download_resilient(std::uint16_t port,
   DownloadOutcome out;
   out.stats.trace_id = ctx.trace_id;
   Rng rng(policy.jitter_seed);
-  // Wire bytes accumulated so far: the framed payload (raw/full) or the
-  // container stream (selective). This is what resume carries across
-  // reconnects — and what salvage digs through when retries run out.
+  // What a resume continues: the framed payload received so far
+  // (raw/full), or the decoder that has consumed the container so far,
+  // its blocks already in out.data (selective). Salvage closes that
+  // decoder out when retries run out.
   Bytes partial;
+  core::SelectiveStreamDecoder dec;
   std::uint64_t expected_total = 0;
   std::uint32_t expected_crc = 0;
   bool have_total = false;
@@ -1078,8 +1077,12 @@ DownloadOutcome download_resilient(std::uint16_t port,
 
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     ++out.attempts;
-    if (!policy.resume) partial.clear();
-    const std::size_t offset = partial.size();
+    if (!policy.resume) {
+      partial.clear();
+      dec = {};
+      out.data.clear();
+    }
+    const std::size_t offset = selective ? dec.bytes_fed() : partial.size();
     if (attempt > 0) {
       backoff(policy, attempt, rng, &busy_floor_ms);
       out.resumed_bytes = std::max(out.resumed_bytes, offset);
@@ -1129,13 +1132,24 @@ DownloadOutcome download_resilient(std::uint16_t port,
       if (selective) {
         if (status.rfind("OK stream", 0) != 0)
           throw Error("download: " + status);
-        Bytes buf(16 * 1024);
-        while (true) {
-          const std::size_t n = s.recv_some(buf.data(), buf.size());
-          if (n == 0) break;  // server finished (or died; decode decides)
-          maybe_test_crash();
-          partial.insert(partial.end(), buf.begin(), buf.begin() + n);
-        }
+        // Decode while receiving, with threads >= 2 on a feed thread
+        // alongside the decode (§4.1), exactly as download() does.
+        core::InterleavedDownloader::Options opt;
+        opt.threads = policy.threads;
+        core::InterleavedDownloader(opt).feed(
+            dec,
+            [&](std::uint8_t* dst, std::size_t max) {
+              const std::size_t n = s.recv_some(dst, max);
+              if (n) maybe_test_crash();
+              return n;
+            },
+            out.data);
+        // A short stream keeps the decoder: the resume continues it.
+        if (!dec.finished()) throw Error("download: stream ended early");
+        dec.verify();  // a CRC mismatch fails the decoder
+        out.stats.block_infos = dec.block_infos();
+        out.stats.blocks = out.stats.block_infos.size();
+        out.stats.bytes_on_wire = dec.bytes_fed();
       } else {
         // raw/full: "OK <remaining> <total> <crc32>"
         std::istringstream iss(status);
@@ -1178,55 +1192,10 @@ DownloadOutcome download_resilient(std::uint16_t port,
           have_total = false;
           throw Error("download: payload CRC mismatch");
         }
-      }
-
-      out.stats.bytes_on_wire = partial.size();
-      if (!selective) {
+        out.stats.bytes_on_wire = partial.size();
         out.data = mode == "raw"
                        ? std::move(partial)
                        : compress::DeflateCodec().decompress(partial);
-      } else {
-        // Fully received container + parallel decode requested: inflate
-        // the independently decodable blocks concurrently. Any failure
-        // (truncation, corruption) falls through to the streaming
-        // decoder below, which classifies it for retry/resume.
-        bool decoded = false;
-        if (policy.threads >= 2) {
-          try {
-            out.data = compress::selective_decompress(partial,
-                                                      policy.threads);
-            out.stats.block_infos = compress::selective_block_info(partial);
-            decoded = true;
-          } catch (const Error&) {
-          }
-        }
-        if (!decoded) {
-          // Decode the accumulated container from scratch: corruption
-          // is detected here, and a short stream simply isn't finished
-          // yet.
-          core::SelectiveStreamDecoder dec;
-          dec.feed(partial);
-          Bytes data;
-          try {
-            while (auto block = dec.poll())
-              data.insert(data.end(), block->begin(), block->end());
-          } catch (const Error&) {
-            partial.clear();  // a block failed to decode: stream poisoned
-            throw;
-          }
-          // Truncated (keep the partial — resume finishes it) vs corrupt
-          // past the block boundaries (clear — no byte is trustworthy).
-          if (!dec.finished()) throw Error("download: stream ended early");
-          try {
-            dec.verify();
-          } catch (const Error&) {
-            partial.clear();
-            throw;
-          }
-          out.data = std::move(data);
-          out.stats.block_infos = dec.block_infos();
-        }
-        out.stats.blocks = out.stats.block_infos.size();
       }
       out.stats.bytes_decoded = out.data.size();
       record_attempt();
@@ -1239,18 +1208,25 @@ DownloadOutcome download_resilient(std::uint16_t port,
       event({.stage = "close"});
       return out;
     } catch (const Error& e) {
+      if (dec.failed()) {
+        // A block or the CRC failed to decode: the stream is poisoned,
+        // so no byte of it is trustworthy — start over from offset 0.
+        dec = {};
+        out.data.clear();
+      }
       last_error = e.what();
       record_attempt();
       event({.stage = "error", .attempt = out.attempts, .err = last_error});
     }
   }
 
-  if (selective && policy.salvage && !partial.empty()) {
-    auto sr = compress::selective_salvage(partial);
-    out.data = std::move(sr.data);
-    out.recovery = sr.report;
+  if (selective && policy.salvage && dec.bytes_fed() > 0) {
+    // Salvage: the blocks decoded so far, with everything the framing
+    // declared beyond them booked as lost.
+    dec.set_tolerant(true);
+    out.recovery = dec.finish();
     out.complete = false;
-    out.stats.bytes_on_wire = partial.size();
+    out.stats.bytes_on_wire = dec.bytes_fed();
     out.stats.bytes_decoded = out.data.size();
     event({.stage = "salvage",
            .bytes_wire = static_cast<std::int64_t>(out.stats.bytes_on_wire),

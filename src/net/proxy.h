@@ -373,9 +373,8 @@ struct TransferPolicy {
   /// Selective mode only: when retries run out mid-container, salvage
   /// whatever blocks arrived intact instead of throwing.
   bool salvage = false;
-  /// Selective mode only: decode a fully received container with this
-  /// many pool threads (1 = serial). Retry/resume classification is
-  /// unchanged — the parallel path is a fast path for intact streams.
+  /// Selective mode only: >= 2 runs the socket reads on a feed thread
+  /// alongside the decode (§4.1), as download()'s `threads` does.
   unsigned threads = 1;
   /// Mint/propagate a TraceContext with each request (an already-current
   /// thread trace is reused) and stamp it into events and stats.
@@ -396,10 +395,13 @@ struct DownloadOutcome {
 
 /// download() with deadlines, bounded retries (exponential backoff with
 /// deterministic jitter; a BUSY reply's retry-after raises the floor of
-/// the next wait), and resume-from-offset over GET-RANGE. Every
-/// completed download is CRC-verified — raw mode included. Throws the
-/// last failure once retries are exhausted, unless policy.salvage turns
-/// a partial selective container into a salvaged DownloadOutcome.
+/// the next wait), and resume-from-offset over GET-RANGE. Selective
+/// mode decodes while it receives, and a resume continues the same
+/// decoder, so each block is decoded once however often the link
+/// breaks. Every completed download is CRC-verified — raw mode
+/// included. Throws the last failure once retries are exhausted, unless
+/// policy.salvage turns a partial selective container into a salvaged
+/// DownloadOutcome.
 DownloadOutcome download_resilient(std::uint16_t port,
                                    const std::string& name,
                                    const std::string& mode,

@@ -10,11 +10,15 @@
 #include <thread>
 
 #include "cli/cli.h"
+#include "compress/container.h"
+#include "compress/deflate.h"
 #include "compress/selective.h"
 #include "core/interleave.h"
 #include "core/planner.h"
 #include "net/fault.h"
 #include "net/proxy.h"
+#include "obs/metrics.h"
+#include "util/crc32.h"
 #include "workload/generator.h"
 
 namespace ecomp::net {
@@ -62,18 +66,38 @@ TEST_F(FaultFixture, MatrixWithRetriesEveryCellRecovers) {
   for (const FaultKind kind : {FaultKind::Drop, FaultKind::Truncate,
                                FaultKind::Delay, FaultKind::Corrupt}) {
     for (const std::string mode : {"raw", "full", "selective"}) {
-      SCOPED_TRACE(std::string(to_string(kind)) + " x " + mode);
-      arm(kind, 5000);
-      const auto outcome =
-          download_resilient(server_->port(), "f.xml", mode,
-                             fast_policy(4));
-      EXPECT_EQ(outcome.data, data_);
-      EXPECT_TRUE(outcome.complete);
-      if (kind == FaultKind::Delay) {
-        // A 100 ms stall is inside the 2 s deadline: first try wins.
-        EXPECT_EQ(outcome.attempts, 1);
-      } else {
-        EXPECT_GE(outcome.attempts, 2);
+      // Selective also runs with the receive on a feed thread beside
+      // the decode, inside the retry loop.
+      for (const unsigned threads : {1u, 2u}) {
+        if (threads > 1 && mode != "selective") continue;
+        SCOPED_TRACE(std::string(to_string(kind)) + " x " + mode + " x " +
+                     std::to_string(threads));
+        arm(kind, 5000);
+        auto tp = fast_policy(4);
+        tp.threads = threads;
+        const auto outcome =
+            download_resilient(server_->port(), "f.xml", mode, tp);
+        EXPECT_EQ(outcome.data, data_);
+        EXPECT_TRUE(outcome.complete);
+        if (kind == FaultKind::Delay) {
+          // A 100 ms stall is inside the 2 s deadline: first try wins.
+          EXPECT_EQ(outcome.attempts, 1);
+        } else {
+          EXPECT_EQ(outcome.attempts, 2);
+        }
+        // A cut stream resumes from what arrived; a corrupted one has no
+        // trustworthy byte and starts over.
+        switch (kind) {
+          case FaultKind::Truncate:
+            EXPECT_GT(outcome.resumed_bytes, 0u);
+            EXPECT_LT(outcome.resumed_bytes, 5000u);
+            break;
+          case FaultKind::Drop:  // an RST may discard what was in flight
+            EXPECT_LT(outcome.resumed_bytes, 5000u);
+            break;
+          default:
+            EXPECT_EQ(outcome.resumed_bytes, 0u);
+        }
       }
     }
   }
@@ -179,6 +203,71 @@ TEST_F(FaultFixture, SalvageReturnsPartialWhenRetriesExhaust) {
                              static_cast<std::ptrdiff_t>(
                                  outcome.recovery.bytes_recovered),
                          noise.begin()));
+}
+
+TEST(ResumeWork, EveryBlockIsDecodedOnceAcrossResumes) {
+#if !defined(ECOMP_OBS_ENABLED)
+  GTEST_SKIP() << "counts decodes through selective.decode_block_us";
+#else
+  // Two connections cut at 60 KB: the resumes must continue the decoder
+  // rather than decode the accumulated prefix again from byte 0 — with
+  // the receive on the calling thread and on a feed thread alike.
+  constexpr std::size_t kBlock = 16 * 1024;
+  const Bytes data = workload::generate_kind(FileKind::Xml, 1000000, 7, 0.4);
+  FileStore store;
+  store.put("big.xml", data);
+  ProxyServer server(std::move(store), compress::SelectivePolicy::always(),
+                     kBlock);
+  FaultSpec spec;
+  spec.kind = FaultKind::Truncate;
+  spec.at_byte = 60000;
+  auto& decodes = obs::Registry::global().sliding("selective.decode_block_us");
+  const std::uint64_t n_blocks = (data.size() + kBlock - 1) / kBlock;
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    server.set_fault_injector(std::make_shared<FaultInjector>(spec, 2));
+    auto tp = fast_policy(4);
+    tp.threads = threads;
+    const std::uint64_t before = decodes.snapshot().total_count;
+    const auto outcome =
+        download_resilient(server.port(), "big.xml", "selective", tp);
+    EXPECT_EQ(outcome.data, data);
+    EXPECT_EQ(outcome.attempts, 3);
+    // The last resume carries what both cut connections delivered.
+    EXPECT_GT(outcome.resumed_bytes, spec.at_byte);
+    EXPECT_EQ(decodes.snapshot().total_count - before, n_blocks);
+  }
+#endif
+}
+
+TEST(SizeClaims, CorruptMemberSizeIsRetriedNotBadAlloc) {
+  // Wire byte 36 + 20 is container byte 20 (just past the traced
+  // "OK stream" status frame): the last byte of block 0's member-size
+  // varint. The flip makes the member claim an absurd size.
+  const Bytes data = workload::generate_kind(FileKind::Xml, 300000, 9, 0.4);
+  FileStore store;
+  store.put("f.xml", data);
+  ProxyServer server(std::move(store), compress::SelectivePolicy::always());
+  FaultSpec spec;
+  spec.kind = FaultKind::Corrupt;
+  spec.at_byte = 36 + 20;
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    server.set_fault_injector(std::make_shared<FaultInjector>(spec, 1));
+    auto tp = fast_policy(2);
+    tp.threads = threads;
+    DownloadOutcome outcome;
+    ASSERT_NO_THROW(outcome = download_resilient(server.port(), "f.xml",
+                                                 "selective", tp));
+    EXPECT_EQ(outcome.data, data);
+    EXPECT_EQ(outcome.attempts, 2);
+    EXPECT_EQ(outcome.resumed_bytes, 0u);  // a failed decode starts over
+
+    server.set_fault_injector(std::make_shared<FaultInjector>(spec, 1));
+    EXPECT_THROW(
+        download(server.port(), "f.xml", "selective", nullptr, threads),
+        Error);
+  }
 }
 
 TEST_F(FaultFixture, UploadRetriesThroughDroppedReply) {
@@ -536,6 +625,117 @@ TEST(SelectiveSalvage, AbsurdHeaderSizeIsFramingDamageNotOom) {
   const auto sr = selective_salvage(container);
   EXPECT_TRUE(sr.report.framing_truncated);
   EXPECT_LT(sr.data.size(), container.size() * 8);
+}
+
+TEST(SelectiveSalvage, FlippedMemberSizeBitLosesOneBlockNotBadAlloc) {
+  const Bytes data = xml_data();
+  auto container =
+      selective_compress(data, SelectivePolicy::always()).container;
+  ASSERT_EQ(container[20], 0x08);  // last byte of block 0's member size
+  container[20] ^= 0x80;           // ... which now claims gigabytes
+  SalvageResult sr;
+  ASSERT_NO_THROW(sr = selective_salvage(container));
+  EXPECT_EQ(sr.report.blocks_lost, 1u);
+  EXPECT_FALSE(sr.report.framing_truncated);
+  ASSERT_EQ(sr.data.size(), data.size());
+  EXPECT_TRUE(std::equal(sr.data.begin() + kDefaultBlockSize, sr.data.end(),
+                         data.begin() + kDefaultBlockSize));
+}
+
+/// A container of `blocks` compressed blocks whose (empty) deflate
+/// members each claim `claim` original bytes.
+Bytes container_claiming(std::uint64_t claim, int blocks) {
+  Bytes member;
+  write_header(member, kDeflateMagic, claim, 0);
+  member.insert(member.end(), {0x03, 0x00});  // one empty fixed block
+  Bytes c;
+  write_header(c, kSelectiveMagic, claim * static_cast<std::uint64_t>(blocks),
+               0);
+  put_varint(c, claim);
+  put_varint(c, static_cast<std::uint64_t>(blocks));
+  for (int b = 0; b < blocks; ++b) {
+    c.push_back(1);
+    put_varint(c, member.size());
+    c.insert(c.end(), member.begin(), member.end());
+  }
+  return c;
+}
+
+TEST(SizeClaims, BlockTableRefusesImpossibleMemberSizes) {
+  // Two members claiming 1 TiB each: the parallel decode must not size
+  // its output buffer from the claim, nor inspect report it.
+  const Bytes c = container_claiming(std::uint64_t{1} << 40, 2);
+  EXPECT_THROW(selective_decompress(c, 4), Error);
+  EXPECT_THROW(selective_block_info(c), Error);
+  EXPECT_THROW(selective_decompress(c, 1), Error);
+}
+
+TEST(TolerantDecoder, LostBlockCannotZeroFillPastTheStream) {
+  // 22 bytes declaring a 1 TiB file in one 1 TiB block whose flag is
+  // bad: tolerant decoding must not zero-fill a terabyte for it.
+  Bytes c;
+  write_header(c, kSelectiveMagic, std::uint64_t{1} << 40, 0);
+  put_varint(c, std::uint64_t{1} << 40);
+  put_varint(c, 1);
+  c.insert(c.end(), {2, 1, 0});  // flag 2, payload size 1, payload
+  ASSERT_EQ(c.size(), 22u);
+
+  core::SelectiveStreamDecoder dec;
+  dec.set_tolerant(true);
+  dec.feed(c);
+  EXPECT_THROW(dec.poll(), Error);
+  EXPECT_TRUE(dec.failed());
+
+  for (const unsigned threads : {1u, 2u}) {
+    core::InterleavedDownloader::Options opt;
+    opt.tolerant = true;
+    opt.threads = threads;
+    bool sent = false;
+    EXPECT_THROW(core::InterleavedDownloader(opt).run(
+                     [&](std::uint8_t* dst, std::size_t max) -> std::size_t {
+                       if (sent) return 0;
+                       sent = true;
+                       std::copy_n(c.begin(), std::min(max, c.size()), dst);
+                       return std::min(max, c.size());
+                     }),
+                 Error)
+        << threads;
+  }
+  EXPECT_TRUE(selective_salvage(c).report.framing_truncated);
+}
+
+TEST(StreamDecoder, MisSizedBlockFailsWhereItOccurs) {
+  // Raw blocks with block 0 framed consistently but one byte short.
+  const Bytes data = xml_data();
+  Bytes c;
+  write_header(c, kSelectiveMagic, data.size(), crc32(data));
+  put_varint(c, kDefaultBlockSize);
+  const std::size_t n_blocks =
+      (data.size() + kDefaultBlockSize - 1) / kDefaultBlockSize;
+  put_varint(c, n_blocks);
+  for (std::size_t off = 0; off < data.size(); off += kDefaultBlockSize) {
+    std::size_t len = std::min(kDefaultBlockSize, data.size() - off);
+    if (off == 0) --len;
+    c.push_back(0);
+    put_varint(c, len);
+    c.insert(c.end(), data.begin() + static_cast<std::ptrdiff_t>(off),
+             data.begin() + static_cast<std::ptrdiff_t>(off + len));
+  }
+
+  // Strict: the stream fails at block 0, not at the final size/CRC
+  // check after handing the short block out.
+  core::SelectiveStreamDecoder dec;
+  dec.feed(c);
+  EXPECT_THROW(dec.poll(), Error);
+  EXPECT_TRUE(dec.failed());
+
+  // Tolerant: block 0 is lost and every later byte keeps its offset.
+  const SalvageResult sr = selective_salvage(c);
+  EXPECT_EQ(sr.report.blocks_lost, 1u);
+  EXPECT_EQ(sr.report.blocks_recovered, n_blocks - 1);
+  ASSERT_EQ(sr.data.size(), data.size());
+  EXPECT_TRUE(std::equal(sr.data.begin() + kDefaultBlockSize, sr.data.end(),
+                         data.begin() + kDefaultBlockSize));
 }
 
 TEST(TolerantDecoder, ZeroFillsBadBlockAndRecordsRecovery) {

@@ -4,6 +4,11 @@
 // bytes.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "compress/codec.h"
 #include "compress/selective.h"
 #include "core/interleave.h"
@@ -179,6 +184,124 @@ TEST(CrcCoverage, EveryContainerChecksTheWholePayload) {
     }
     EXPECT_TRUE(threw) << name;
   }
+}
+
+// ---------------------------------------------------- salvage golden
+
+/// Mutation `i` of a container: the first 192 flip every bit of the
+/// 24-byte prefix in turn (header and first block frame, where framing
+/// damage is most intricate); the rest cycle through a truncation, one
+/// bit flip anywhere, four random bytes, and deleting 1-300 bytes.
+Bytes mutate(Bytes c, int i, Rng& rng) {
+  if (i < 192) {
+    const auto pos = static_cast<std::size_t>(i / 8);
+    if (pos < c.size()) c[pos] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    return c;
+  }
+  switch (i % 4) {
+    case 0:
+      c.resize(rng.below(c.size()));
+      break;
+    case 1: {
+      const std::size_t pos = rng.below(c.size());
+      c[pos] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+      break;
+    }
+    case 2:
+      for (int k = 0; k < 4; ++k) {
+        const std::size_t pos = rng.below(c.size());
+        c[pos] = rng.byte();
+      }
+      break;
+    default: {
+      const std::size_t pos = rng.below(c.size());
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.below(300), c.size() - pos);
+      c.erase(c.begin() + static_cast<std::ptrdiff_t>(pos),
+              c.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    }
+  }
+  return c;
+}
+
+/// One line per mutated container: the seven RecoveryReport fields, then
+/// the salvaged data's size and CRC-32 (or what salvage threw).
+std::vector<std::string> salvage_golden_lines() {
+  struct Source {
+    const char* name;
+    workload::FileKind kind;
+    std::size_t size;
+    std::size_t block_size;
+  };
+  const Source sources[] = {
+      {"xml300k", workload::FileKind::Xml, 300000, 128 * 1024},
+      {"tar180k", workload::FileKind::TarMixed, 180000, 16 * 1024},
+      {"xml5k", workload::FileKind::Xml, 5000, 1024},
+  };
+  std::vector<std::string> lines = {
+      "# container mutation: blocks_total blocks_recovered "
+      "blocks_lost bytes_recovered bytes_lost framing_truncated crc_ok | "
+      "data_size data_crc32"};
+  Rng rng(0x5a1f);
+  for (const Source& src : sources) {
+    const Bytes data = workload::generate_kind(src.kind, src.size, 9, 0.4);
+    for (const bool compress_blocks : {true, false}) {
+      const Bytes container =
+          compress::selective_compress(data,
+                                       compress_blocks
+                                           ? SelectivePolicy::always()
+                                           : SelectivePolicy::never(),
+                                       src.block_size)
+              .container;
+      for (int i = 0; i < 400; ++i) {
+        const Bytes damaged = mutate(container, i, rng);
+        std::ostringstream os;
+        os << src.name << (compress_blocks ? ".always " : ".never ") << i
+           << ": ";
+        try {
+          const auto sr = compress::selective_salvage(damaged);
+          const auto& r = sr.report;
+          os << r.blocks_total << ' ' << r.blocks_recovered << ' '
+             << r.blocks_lost << ' ' << r.bytes_recovered << ' '
+             << r.bytes_lost << ' ' << r.framing_truncated << ' '
+             << r.crc_ok << " | " << sr.data.size() << ' ' << std::hex
+             << crc32(sr.data);
+        } catch (const std::exception& e) {
+          os << "threw " << e.what();
+        }
+        lines.push_back(os.str());
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(SalvageGolden, EveryMutationRecoversAsRecorded) {
+  namespace fs = std::filesystem;
+  const std::vector<std::string> got = salvage_golden_lines();
+  const fs::path golden = fs::path(ECOMP_TEST_DATA_DIR) / "salvage.golden";
+  if (std::getenv("ECOMP_REGEN_GOLDEN")) {
+    std::ofstream out(golden, std::ios::binary);
+    for (const auto& line : got) out << line << '\n';
+    ASSERT_TRUE(out.good()) << golden;
+    GTEST_SKIP() << "regenerated " << golden;
+  }
+  std::ifstream in(golden, std::ios::binary);
+  ASSERT_TRUE(in.is_open())
+      << golden << " missing; run with ECOMP_REGEN_GOLDEN=1 to create";
+  std::vector<std::string> want;
+  for (std::string line; std::getline(in, line);) want.push_back(line);
+  ASSERT_EQ(got.size(), want.size());
+  int mismatches = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] == want[i]) continue;
+    if (++mismatches <= 10)
+      ADD_FAILURE() << "salvage drifted from the golden\n  want: " << want[i]
+                    << "\n   got: " << got[i];
+  }
+  EXPECT_EQ(mismatches, 0)
+      << "if intentional, regenerate with ECOMP_REGEN_GOLDEN=1 and commit "
+         "the diff";
 }
 
 }  // namespace
