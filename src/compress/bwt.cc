@@ -148,21 +148,63 @@ void sais_core(const Char* s, std::uint32_t* sa, std::size_t n,
   induce();
 }
 
-/// Rotation order of a cyclically aperiodic block: all rotations are
-/// distinct, so the suffix order of block+block restricted to start
-/// positions < n is exactly the rotation order (any two such suffixes
-/// differ within their first n characters).
+/// Start of the least rotation of `s` (the two-pointer minimal-rotation
+/// scan, O(n)): i and j are the two surviving candidates and k the
+/// length of their common prefix. On a mismatch the larger candidate
+/// and the k positions after it cannot start the least rotation (each
+/// loses against the same offset of the other candidate), so it jumps
+/// past them. Rotations are read cyclically without copying the block.
+std::size_t least_rotation(ByteSpan s) {
+  const std::size_t n = s.size();
+  std::size_t i = 0, j = 1, k = 0;
+  while (i < n && j < n && k < n) {
+    std::size_t a = i + k, b = j + k;
+    if (a >= n) a -= n;
+    if (b >= n) b -= n;
+    if (s[a] == s[b]) {
+      ++k;
+      continue;
+    }
+    if (s[a] > s[b])
+      i += k + 1;
+    else
+      j += k + 1;
+    if (i == j) ++j;
+    k = 0;
+  }
+  return std::min(i, j);
+}
+
+/// Rotation order of a cyclically aperiodic block, from an n-symbol
+/// suffix sort. Rotate the block to its least rotation w = block[k..) +
+/// block[..k). An aperiodic block's rotations are all distinct, so w is
+/// strictly smaller than every proper rotation of itself: a Lyndon word.
+/// For a Lyndon word, rotation order equals suffix order under the
+/// implicit smaller sentinel sais_core uses. Take positions i != j with
+/// suffixes S_i = w[i..n) and S_j = w[j..n). If neither suffix is a
+/// prefix of the other, both orders are decided at the same first
+/// mismatch. Otherwise, say S_j is a proper prefix of S_i (so i < j);
+/// the suffix order puts S_j first. The rotations are S_j + w[0..j) and
+/// S_j + r[0..j), where r is the proper rotation of w starting at
+/// m = n - (j - i), so they compare as w[0..j) against r[0..j). As w < r,
+/// w[0..j) <= r[0..j), and equality would make the two rotations equal
+/// and the block periodic. So rotation j comes first too. The rotation
+/// order of the block is then the suffix order of w with every position
+/// shifted by k (mod n).
 std::vector<std::uint32_t> rotation_order_aperiodic(ByteSpan block) {
   const std::size_t n = block.size();
-  std::vector<std::uint8_t> dbl(2 * n);
-  std::memcpy(dbl.data(), block.data(), n);
-  std::memcpy(dbl.data() + n, block.data(), n);
-  std::vector<std::uint32_t> sa2(2 * n);
-  sais_core<std::uint8_t>(dbl.data(), sa2.data(), 2 * n, 256);
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  for (std::uint32_t p : sa2)
-    if (p < n) order.push_back(p);
+  const std::size_t k = least_rotation(block);
+  std::vector<std::uint8_t> w(n);
+  std::memcpy(w.data(), block.data() + k, n - k);
+  std::memcpy(w.data() + (n - k), block.data(), k);
+  std::vector<std::uint32_t> order(n);
+  sais_core<std::uint8_t>(w.data(), order.data(), n, 256);
+  const auto shift = static_cast<std::uint32_t>(k);
+  const auto size = static_cast<std::uint32_t>(n);
+  for (std::uint32_t& p : order) {
+    p += shift;
+    if (p >= size) p -= size;
+  }
   return order;
 }
 

@@ -10,12 +10,14 @@
 namespace ecomp::compress {
 
 /// Forward BWT of `block` (cyclic-rotation sort, O(n)). The rotation
-/// order comes from an SA-IS suffix array of the doubled block; blocks
-/// that are cyclically periodic sort one aperiodic unit and expand each
-/// rotation class in ascending position order, so the output — last
-/// column and `primary` — is bit-identical to the stable prefix-doubling
-/// sort it replaced. `primary` receives the row index of the original
-/// string in the sorted rotation matrix.
+/// order comes from an SA-IS suffix array of the block's least rotation
+/// (a Lyndon word, whose suffix order is its rotation order), n symbols
+/// rather than the doubled block's 2n; blocks that are cyclically
+/// periodic sort one aperiodic unit and expand each rotation class in
+/// ascending position order, so the output — last column and `primary`
+/// — is bit-identical to the stable prefix-doubling sort it replaced.
+/// `primary` receives the row index of the original string in the
+/// sorted rotation matrix.
 Bytes bwt_forward(ByteSpan block, std::uint32_t& primary);
 
 /// Reference implementation of bwt_forward: prefix doubling with stable

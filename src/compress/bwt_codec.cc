@@ -20,6 +20,8 @@ constexpr std::size_t kGroupSize = 50;  // symbols per selector group
 constexpr int kMaxTables = 6;
 constexpr int kTableCountBits = 3;
 constexpr int kRefinePasses = 3;
+// The encoder's largest block (level 9); a larger claim is damage.
+constexpr std::uint64_t kMaxBlockSize = 9 * 100'000;
 
 /// bzip2-style multi-table entropy coding: the symbol stream is cut into
 /// groups of 50; each group is coded with one of up to six Huffman
@@ -160,6 +162,7 @@ Bytes encode_block(ByteSpan block, int max_tables) {
 
 Bytes decode_block(ByteSpan in, std::size_t& pos) {
   const std::uint64_t block_size = get_varint(in, pos);
+  if (block_size > kMaxBlockSize) throw Error("bwt: block size too large");
   const std::uint64_t primary = get_varint(in, pos);
   const std::uint64_t payload_size = get_varint(in, pos);
   if (pos + payload_size > in.size()) throw Error("bwt: truncated block");
@@ -260,7 +263,7 @@ Bytes BwtCodec::decompress(ByteSpan input) const {
   const std::uint64_t rle_size = get_varint(input, pos);
   const std::uint64_t nblocks = get_varint(input, pos);
   Bytes rle;
-  rle.reserve(rle_size);
+  rle.reserve(reserve_hint(rle_size, input.size() - pos));
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     const Bytes blk = decode_block(input, pos);
     rle.insert(rle.end(), blk.begin(), blk.end());

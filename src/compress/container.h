@@ -37,4 +37,18 @@ Header read_header(ByteSpan in, std::uint16_t magic);
 /// Verify payload CRC after decode; throws Error on mismatch.
 void check_crc(const Header& h, ByteSpan decoded);
 
+/// A size field is a claim that damage can rewrite, so a decoder
+/// reserves at most this many output bytes per payload byte up front.
+/// A genuinely larger output still decodes (the buffer grows), and the
+/// decoder's size and CRC checks reject a false claim.
+inline constexpr std::uint64_t kMaxReservePerPayloadByte = 4096;
+
+/// Reservation for an output whose size is `claimed` by a header
+/// followed by `payload_bytes` of coded data.
+inline std::size_t reserve_hint(std::uint64_t claimed,
+                                std::size_t payload_bytes) {
+  const std::uint64_t cap = payload_bytes * kMaxReservePerPayloadByte;
+  return static_cast<std::size_t>(claimed < cap ? claimed : cap);
+}
+
 }  // namespace ecomp::compress

@@ -48,18 +48,49 @@ constexpr std::array<LenCode, 30> kDistCodes = {{
 constexpr std::array<std::uint8_t, kNumClen> kClenOrder = {
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
 
+/// Index of the last code whose base is <= v (codes ascend by base).
+template <std::size_t N>
+constexpr int code_for(const std::array<LenCode, N>& codes, int v) {
+  int i = static_cast<int>(N) - 1;
+  while (i > 0 && v < codes[static_cast<std::size_t>(i)].base) --i;
+  return i;
+}
+
+/// Length code index of every match length 0..258 (zlib's _length_code).
+constexpr auto kLengthCodeOf = [] {
+  std::array<std::uint8_t, kLzMaxMatch + 1> t{};
+  for (int len = kLzMinMatch; len <= kLzMaxMatch; ++len)
+    t[static_cast<std::size_t>(len)] =
+        static_cast<std::uint8_t>(code_for(kLenCodes, len));
+  return t;
+}();
+
+/// Distance code by d = distance - 1 (zlib's _dist_code): entries
+/// 0..255 for d < 256, then 256 + (d >> 7), since from code 16 on every
+/// code spans a multiple of 128 distances starting at one.
+constexpr auto kDistanceCodeOf = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (int d = 0; d < 256; ++d)
+    t[static_cast<std::size_t>(d)] =
+        static_cast<std::uint8_t>(code_for(kDistCodes, d + 1));
+  for (int d = 256; d < 32768; d += 128)
+    t[static_cast<std::size_t>(256 + (d >> 7))] =
+        static_cast<std::uint8_t>(code_for(kDistCodes, d + 1));
+  return t;
+}();
+
 /// Map a match length (3..258) to its length code index (0..28).
 int length_code(int len) {
-  for (int i = 28; i >= 0; --i)
-    if (len >= kLenCodes[i].base) return i;
-  throw Error("deflate: bad match length");
+  if (len < kLzMinMatch) throw Error("deflate: bad match length");
+  return len > kLzMaxMatch ? 28 : kLengthCodeOf[static_cast<std::size_t>(len)];
 }
 
 /// Map a distance (1..32768) to its distance code (0..29).
 int distance_code(int dist) {
-  for (int i = 29; i >= 0; --i)
-    if (dist >= kDistCodes[i].base) return i;
-  throw Error("deflate: bad distance");
+  if (dist < 1) throw Error("deflate: bad distance");
+  if (dist > kLzWindowSize) return 29;
+  const int d = dist - 1;
+  return kDistanceCodeOf[static_cast<std::size_t>(d < 256 ? d : 256 + (d >> 7))];
 }
 
 std::vector<std::uint8_t> fixed_litlen_lengths() {
@@ -451,12 +482,7 @@ Bytes DeflateCodec::decompress(ByteSpan input) const {
   const Header h = read_header(input, kDeflateMagic);
   const ByteSpan payload = input.subspan(h.payload_offset);
   BitReaderLsb br(payload);
-  // The header's size is only a reservation hint, and a damaged one can
-  // claim anything: never reserve more than the payload can expand to.
-  // check_crc rejects the lie.
-  Bytes out = inflate_raw(
-      br, static_cast<std::size_t>(std::min<std::uint64_t>(
-              h.original_size, payload.size() * kMaxDeflateExpansion)));
+  Bytes out = inflate_raw(br, reserve_hint(h.original_size, payload.size()));
   {
     ECOMP_PROF_ZONE("crc32");
     check_crc(h, out);

@@ -32,6 +32,22 @@ namespace {
 constexpr int kHashBits = 15;
 constexpr std::uint32_t kHashSize = 1u << kHashBits;
 
+inline std::uint32_t load32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline std::uint16_t load16(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Selects the first three bytes in memory of a load32() word.
+constexpr std::uint32_t kFirst3Mask =
+    std::endian::native == std::endian::little ? 0x00ffffffu : 0xffffff00u;
+
 inline std::uint32_t hash3(const std::uint8_t* p) {
   // Multiplicative hash of 3 bytes.
   const std::uint32_t v =
@@ -138,19 +154,33 @@ struct Matcher {
     std::int32_t cand = head[hash3(cur)];
     const std::int64_t limit =
         static_cast<std::int64_t>(pos) - params.window_size;
+    // Exact rejection filters. A candidate beats best_len only if its
+    // first best_len + 1 bytes equal cur's, so it must agree on the
+    // first three bytes (a hash collision fails here) and on the two
+    // bytes ending at offset best_len (zlib's scan_end1/scan_end); a
+    // candidate failing either would have lost in match_length too, so
+    // the result and the probe count are unchanged. cur's prefix is
+    // copied bytewise because cur[3] may lie past the input; a
+    // candidate starts before pos, so its four-byte load stays in
+    // bounds, and best_len < max_len keeps both two-byte loads inside.
+    std::uint32_t first3 = 0;
+    std::memcpy(&first3, cur, 3);
+    std::uint16_t scan_end =
+        best_len < max_len ? load16(cur + best_len - 1) : 0;
     std::uint64_t probes = 0;
     while (cand >= 0 && cand > limit && chain-- > 0) {
       if (best_len >= max_len) break;  // cannot improve; also guards reads
       if constexpr (obs::kObsEnabled) ++probes;
       if (static_cast<std::size_t>(cand) != pos) {
         const std::uint8_t* cp = in.data() + cand;
-        // Quick reject on the byte that would extend the best match.
-        if (cp[best_len] == cur[best_len]) {
+        if (load16(cp + best_len - 1) == scan_end &&
+            (load32(cp) & kFirst3Mask) == first3) {
           const int len = match_length(cp, cur, max_len);
           if (len > best_len) {
             best_len = len;
             best_dist = static_cast<int>(pos - static_cast<std::size_t>(cand));
             if (len >= params.nice_length) break;
+            if (len < max_len) scan_end = load16(cur + len - 1);
           }
         }
       }

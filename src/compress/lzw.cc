@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "compress/container.h"
+#include "compress/lzw_dict.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/bitio.h"
@@ -60,10 +60,8 @@ Bytes LzwCodec::compress(ByteSpan input) const {
 
   const std::uint32_t max_code = (1u << max_bits_) - 1;
   BitWriterLsb bw;
-  std::unordered_map<std::uint64_t, std::uint32_t> dict;
-  auto key = [](std::uint32_t prefix, std::uint8_t byte) {
-    return (std::uint64_t{prefix} << 8) | byte;
-  };
+  // Codes kFirstCode..max_code, and at most one insert per input byte.
+  LzwDict dict(std::min<std::size_t>(max_code - kFirstCode + 1, input.size()));
   std::uint32_t next_code = kFirstCode;
   bool full = false;
 
@@ -79,14 +77,14 @@ Bytes LzwCodec::compress(ByteSpan input) const {
   for (std::size_t i = 1; i < input.size(); ++i) {
     const std::uint8_t b = input[i];
     ++in_count;
-    const auto it = dict.find(key(cur, b));
-    if (it != dict.end()) {
-      cur = it->second;
+    const std::uint32_t code = dict.find(cur, b);
+    if (code != LzwDict::kMissing) {
+      cur = code;
       continue;
     }
     emit(cur);
     if (!full) {
-      dict.emplace(key(cur, b), next_code);
+      dict.insert(cur, b, next_code);
       if (next_code >= max_code) {
         full = true;
         best_factor = 0.0;
@@ -125,7 +123,7 @@ Bytes LzwCodec::decompress(ByteSpan input) const {
   if (stream_max_bits < kMinBits || stream_max_bits > 16)
     throw Error("lzw: corrupt max_bits");
   Bytes out;
-  out.reserve(h.original_size);
+  out.reserve(reserve_hint(h.original_size, input.size() - pos));
   if (h.original_size == 0) {
     check_crc(h, out);
     return out;

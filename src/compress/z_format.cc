@@ -1,7 +1,10 @@
 #include "compress/z_format.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <vector>
+
+#include "compress/lzw_dict.h"
+#include "obs/metrics.h"
 
 namespace ecomp::compress {
 namespace {
@@ -159,10 +162,8 @@ Bytes z_compress(ByteSpan input, int max_bits) {
   const std::uint32_t maxmaxcode = 1u << max_bits;
   ZBitWriter bw;
   UnlzwShadow shadow(max_bits);
-  std::unordered_map<std::uint64_t, std::uint32_t> table;
-  auto key = [](std::uint32_t prefix, std::uint8_t byte) {
-    return (static_cast<std::uint64_t>(prefix) << 8) | byte;
-  };
+  // Slots kFirst..maxmaxcode-1, and at most one insert per input byte.
+  LzwDict table(std::min<std::size_t>(maxmaxcode - kFirst, input.size()));
 
   auto emit = [&](std::uint32_t code) {
     shadow.pre_read(bw);
@@ -179,9 +180,9 @@ Bytes z_compress(ByteSpan input, int max_bits) {
   for (std::size_t i = 1; i < input.size(); ++i) {
     const std::uint8_t c = input[i];
     ++in_count;
-    const auto it = table.find(key(ent, c));
-    if (it != table.end()) {
-      ent = it->second;
+    const std::uint32_t code = table.find(ent, c);
+    if (code != LzwDict::kMissing) {
+      ent = code;
       continue;
     }
     emit(ent);
@@ -189,7 +190,7 @@ Bytes z_compress(ByteSpan input, int max_bits) {
       // Our new entry lands in the decoder at its NEXT read, taking the
       // slot the shadow currently points at.
       if (shadow.free_ent < maxmaxcode) {
-        table.emplace(key(ent, c), shadow.free_ent);
+        table.insert(ent, c, shadow.free_ent);
       } else {
         table_full = true;
       }
@@ -200,6 +201,7 @@ Bytes z_compress(ByteSpan input, int max_bits) {
       if (ratio > best_ratio) {
         best_ratio = ratio;
       } else {
+        ECOMP_COUNT("lzw.dict_resets");
         emit(kClear);
         table.clear();
         table_full = false;

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "compress/codec.h"
+#include "compress/container.h"
 #include "compress/selective.h"
 #include "core/interleave.h"
 #include "util/crc32.h"
@@ -184,6 +185,59 @@ TEST(CrcCoverage, EveryContainerChecksTheWholePayload) {
     }
     EXPECT_TRUE(threw) << name;
   }
+}
+
+// ------------------------------------------------- rewritten size fields
+
+/// `c` with the varint at `pos` replaced by `value` (re-encoded, so the
+/// container's length may change).
+Bytes rewrite_varint(const Bytes& c, std::size_t pos, std::uint64_t value) {
+  std::size_t end = pos;
+  compress::get_varint(c, end);
+  Bytes out(c.begin(), c.begin() + static_cast<std::ptrdiff_t>(pos));
+  compress::put_varint(out, value);
+  out.insert(out.end(), c.begin() + static_cast<std::ptrdiff_t>(end), c.end());
+  return out;
+}
+
+Bytes hello_world_20k() {
+  const std::string unit = "hello world ";
+  Bytes data;
+  while (data.size() < 20000) data.insert(data.end(), unit.begin(), unit.end());
+  data.resize(20000);
+  return data;
+}
+
+// Position just past the container header (magic, varint size, CRC).
+std::size_t after_header(const Bytes& c) {
+  std::size_t pos = 2;
+  compress::get_varint(c, pos);
+  return pos + 4;
+}
+
+constexpr std::uint64_t kHugeClaim = std::uint64_t{1} << 38;
+
+TEST(SizeClaims, LzwHeaderSizeRaisesErrorNotBadAlloc) {
+  const auto codec = compress::make_lzw();
+  const Bytes c = codec->compress(hello_world_20k());
+  EXPECT_THROW(codec->decompress(rewrite_varint(c, 2, kHugeClaim)), Error);
+}
+
+TEST(SizeClaims, BwtStreamSizeRaisesErrorNotBadAlloc) {
+  const auto codec = compress::make_bwt();
+  const Bytes c = codec->compress(hello_world_20k());
+  EXPECT_THROW(codec->decompress(rewrite_varint(c, after_header(c), kHugeClaim)),
+               Error);
+}
+
+TEST(SizeClaims, BwtBlockSizeRaisesErrorNotBadAlloc) {
+  const auto codec = compress::make_bwt();
+  const Bytes c = codec->compress(hello_world_20k());
+  // Skip the stream's RLE size and block count to block 0's size.
+  std::size_t pos = after_header(c);
+  compress::get_varint(c, pos);
+  compress::get_varint(c, pos);
+  EXPECT_THROW(codec->decompress(rewrite_varint(c, pos, kHugeClaim)), Error);
 }
 
 // ---------------------------------------------------- salvage golden

@@ -12,16 +12,34 @@
 //    periodic blocks, where tie order is the subtle part) and the
 //    stride-8 packed bwt_inverse round trip across its size cutoffs.
 //  * Whole-codec byte identity across simd::set_level tiers.
+//  * The encoder golden (tests/data/codec.golden): size and CRC-32 of
+//    every container each encoder produces over a fixed input set, so
+//    an encoder optimisation that changes one output byte fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "compress/bwt.h"
+#include "compress/bwt_codec.h"
+#include "compress/bz2_format.h"
 #include "compress/codec.h"
+#include "compress/deflate.h"
+#include "compress/gzip_format.h"
 #include "compress/huffman.h"
+#include "compress/lzw.h"
+#include "compress/selective.h"
+#include "compress/z_format.h"
+#include "compress/zlib_format.h"
+#include "core/planner.h"
+#include "obs/metrics.h"
 #include "util/bitio.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -289,6 +307,33 @@ TEST(BwtDifferential, PeriodicBlocksMatchDoublingReference) {
   expect_bwt_identical(Bytes{0x7f}, "single");
 }
 
+TEST(BwtDifferential, EverySmallBinaryAndTernaryBlockMatchesReference) {
+  // Exhaustive over short blocks, where every periodic shape, Lyndon
+  // rotation and tie case occurs: each block over {0,1} up to 16 bytes
+  // and over {0,1,2} up to 10 bytes.
+  for (const auto& [alphabet, max_len] :
+       {std::pair{2, 16}, std::pair{3, 10}}) {
+    for (int n = 1; n <= max_len; ++n) {
+      Bytes block(static_cast<std::size_t>(n), 0);
+      while (true) {
+        std::uint32_t p_sais = 0, p_ref = 0;
+        const Bytes fast = compress::bwt_forward(block, p_sais);
+        const Bytes ref = compress::bwt_forward_doubling(block, p_ref);
+        if (fast != ref || p_sais != p_ref) {
+          std::string digits;
+          for (std::uint8_t b : block) digits += static_cast<char>('0' + b);
+          FAIL() << "block " << digits << " differs from the reference "
+                 << "(primary " << p_sais << " vs " << p_ref << ")";
+        }
+        // Next block in odometer order; done once every digit wraps.
+        std::size_t i = 0;
+        while (i < block.size() && ++block[i] == alphabet) block[i++] = 0;
+        if (i == block.size()) break;
+      }
+    }
+  }
+}
+
 TEST(BwtDifferential, CorpusMaterialMatchesDoublingReference) {
   for (const auto kind :
        {workload::FileKind::Xml, workload::FileKind::Binary}) {
@@ -350,6 +395,191 @@ TEST_F(SimdDifferential, CodecOutputByteIdenticalAcrossLevels) {
           << name << " at " << simd::level_name(level);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Encoder golden: every container byte pinned by size and CRC-32.
+
+struct GoldenInput {
+  std::string name;
+  Bytes data;
+};
+
+/// Fixed inputs: every corpus kind at three sizes, the degenerate
+/// shapes (empty, one byte, one repeated byte, short periodic units,
+/// a Fibonacci word, random bytes), text running into random bytes
+/// (the ratio check of both LZW encoders sees the factor fall and
+/// emits CLEAR), and one input long enough for several BWT level-1
+/// blocks and two selective blocks.
+std::vector<GoldenInput> golden_inputs() {
+  std::vector<GoldenInput> inputs;
+  std::uint64_t seed = 1;
+  for (int k = 0; k <= static_cast<int>(workload::FileKind::TarMixed); ++k) {
+    const auto kind = static_cast<workload::FileKind>(k);
+    for (const std::size_t size : {777u, 12345u, 70000u})
+      inputs.push_back({std::string(workload::to_string(kind)) + "-" +
+                            std::to_string(size),
+                        workload::generate_kind(kind, size, seed++, 0.25)});
+  }
+  inputs.push_back({"empty", {}});
+  inputs.push_back({"one-byte", Bytes{0x42}});
+  inputs.push_back({"all-same", Bytes(5000, 0x61)});
+  // 6300 is a multiple of every unit length 1..7; units 2..7 have no
+  // runs for the run-length pre-pass to rewrite, so their BWT blocks
+  // are cyclically periodic.
+  const std::string units = "abcdefg";
+  for (std::size_t unit = 1; unit <= units.size(); ++unit) {
+    Bytes block;
+    while (block.size() < 6300) block.push_back(units[block.size() % unit]);
+    inputs.push_back({"periodic-" + std::to_string(unit), block});
+  }
+  {
+    std::string a = "a", b = "ab";
+    while (b.size() < 28657) {
+      std::string next = b + a;
+      a = std::move(b);
+      b = std::move(next);
+    }
+    inputs.push_back({"fibonacci-28657", Bytes(b.begin(), b.end())});
+  }
+  Rng rng(0x90a1d);
+  inputs.push_back({"random-40000", random_bytes(rng, 40000)});
+  {
+    Bytes mixed = workload::generate_kind(workload::FileKind::Xml, 40000,
+                                          seed++, 0.25);
+    const Bytes noise = random_bytes(rng, 40000);
+    mixed.insert(mixed.end(), noise.begin(), noise.end());
+    inputs.push_back({"xml-then-random-80000", mixed});
+  }
+  inputs.push_back(
+      {"tar-250000", workload::generate_kind(workload::FileKind::TarMixed,
+                                             250000, seed++, 0.25)});
+  return inputs;
+}
+
+struct GoldenEncoder {
+  std::string name;
+  std::function<Bytes(ByteSpan)> encode;
+};
+
+std::vector<GoldenEncoder> golden_encoders() {
+  std::vector<GoldenEncoder> encoders;
+  for (int level = 1; level <= 9; ++level) {
+    auto codec = std::make_shared<compress::DeflateCodec>(level);
+    encoders.push_back({"deflate-" + std::to_string(level),
+                        [codec](ByteSpan in) { return codec->compress(in); }});
+  }
+  encoders.push_back({"gzip", [](ByteSpan in) {
+                        return compress::gzip_compress(in);
+                      }});
+  encoders.push_back({"zlib", [](ByteSpan in) {
+                        return compress::zlib_compress(in);
+                      }});
+  const auto policy = std::make_shared<compress::SelectivePolicy>(
+      core::make_selective_policy(core::EnergyModel::paper_11mbps()));
+  for (const unsigned threads : {1u, 4u})
+    encoders.push_back(
+        {"selective-t" + std::to_string(threads),
+         [policy, threads](ByteSpan in) {
+           return compress::selective_compress(
+                      in, *policy, compress::kDefaultBlockSize, 9, threads)
+               .container;
+         }});
+  for (const int bits : {9, 12, 16}) {
+    auto codec = std::make_shared<compress::LzwCodec>(bits);
+    encoders.push_back({"lzw-" + std::to_string(bits),
+                        [codec](ByteSpan in) { return codec->compress(in); }});
+  }
+  for (const int bits : {9, 16})
+    encoders.push_back({"Z-" + std::to_string(bits), [bits](ByteSpan in) {
+                          return compress::z_compress(in, bits);
+                        }});
+  for (const int level : {1, 5, 9})
+    for (const int tables : {1, 6}) {
+      auto codec = std::make_shared<compress::BwtCodec>(level, tables);
+      encoders.push_back(
+          {"bwt-" + std::to_string(level) + "-t" + std::to_string(tables),
+           [codec](ByteSpan in) { return codec->compress(in); }});
+    }
+  encoders.push_back({"bz2", [](ByteSpan in) {
+                        return compress::bz2_compress(in);
+                      }});
+  return encoders;
+}
+
+/// True if `block` equals a proper rotation of itself, i.e. bwt_forward
+/// takes its periodic-unit path.
+bool cyclically_periodic(const Bytes& block) {
+  const std::size_t n = block.size();
+  for (std::size_t q = 1; q < n; ++q) {
+    if (n % q != 0) continue;
+    if (std::equal(block.begin() + static_cast<std::ptrdiff_t>(q),
+                   block.end(), block.begin()))
+      return true;
+  }
+  return false;
+}
+
+TEST(CodecGolden, EveryContainerMatchesTheRecordedDigest) {
+  namespace fs = std::filesystem;
+  const auto inputs = golden_inputs();
+  auto& resets = obs::Registry::global().counter("lzw.dict_resets");
+  std::vector<std::string> got = {
+      "# encoder/input container_size container_crc32"};
+  std::vector<std::string> cleared;
+  for (const auto& enc : golden_encoders()) {
+    for (const auto& in : inputs) {
+      const std::uint64_t resets_before = resets.value();
+      const Bytes out = enc.encode(in.data);
+      if (resets.value() > resets_before)
+        cleared.push_back(enc.name + "/" + in.name);
+      std::ostringstream os;
+      os << enc.name << '/' << in.name << ' ' << out.size() << ' '
+         << std::hex << crc32(out);
+      got.push_back(os.str());
+    }
+  }
+
+  // The set must reach the paths an encoder rewrite is most likely to
+  // get wrong: an LZW CLEAR and a periodic BWT block.
+  if constexpr (obs::kObsEnabled) {
+    const auto any_of_prefix = [&](const std::string& prefix) {
+      return std::any_of(cleared.begin(), cleared.end(),
+                         [&](const std::string& s) {
+                           return s.rfind(prefix, 0) == 0;
+                         });
+    };
+    EXPECT_TRUE(any_of_prefix("lzw-")) << "no LZW input emitted CLEAR";
+    EXPECT_TRUE(any_of_prefix("Z-")) << "no .Z input emitted CLEAR";
+  }
+  EXPECT_TRUE(std::any_of(inputs.begin(), inputs.end(), [](const auto& in) {
+    const Bytes rle = compress::rle1_encode(in.data);
+    return rle.size() > 1 && rle.size() <= 100000 && cyclically_periodic(rle);
+  })) << "no input takes the periodic BWT path";
+
+  const fs::path golden = fs::path(ECOMP_TEST_DATA_DIR) / "codec.golden";
+  if (std::getenv("ECOMP_REGEN_GOLDEN")) {
+    std::ofstream out(golden, std::ios::binary);
+    for (const auto& line : got) out << line << '\n';
+    ASSERT_TRUE(out.good()) << golden;
+    GTEST_SKIP() << "regenerated " << golden;
+  }
+  std::ifstream in(golden, std::ios::binary);
+  ASSERT_TRUE(in.is_open())
+      << golden << " missing; run with ECOMP_REGEN_GOLDEN=1 to create";
+  std::vector<std::string> want;
+  for (std::string line; std::getline(in, line);) want.push_back(line);
+  ASSERT_EQ(got.size(), want.size());
+  int mismatches = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] == want[i]) continue;
+    if (++mismatches <= 10)
+      ADD_FAILURE() << "encoder output drifted from the golden\n  want: "
+                    << want[i] << "\n   got: " << got[i];
+  }
+  EXPECT_EQ(mismatches, 0)
+      << "every encoder must stay byte-identical; regenerate with "
+         "ECOMP_REGEN_GOLDEN=1 only for an intended format change";
 }
 
 }  // namespace
