@@ -43,9 +43,9 @@ std::unique_ptr<net::ProxyServer> make_server(const Bytes& data) {
       core::make_selective_policy(core::EnergyModel::paper_11mbps()), opt);
 }
 
-/// Plain GET with a bounded retry-on-BUSY loop: unlike the resilient
-/// client it uses the degradable non-ranged verb, so the stampede
-/// actually exercises the degradation ladder.
+/// download() (one attempt, resume off) with a bounded retry-on-BUSY
+/// loop: without resume the client sends the degradable plain GET, not
+/// GET-RANGE, so the stampede actually exercises the degradation ladder.
 Bytes download_retry_busy(std::uint16_t port, const char* mode) {
   for (int i = 0; i < 500; ++i) {
     try {

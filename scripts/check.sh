@@ -14,6 +14,10 @@
 #   ECOMP_CHECK_JOBS       parallel build jobs (default: nproc)
 #   ECOMP_OBS_BUDGET_PCT   overhead budget in percent (default: 3)
 #   ECOMP_CHECK_SKIP_BENCH set to 1 to skip the overhead gate
+#
+# A failed energy regression gate or overhead gate is recorded rather
+# than fatal: every later step still runs, and the script exits
+# non-zero at the end, naming the gates that failed.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -113,7 +117,8 @@ fi
 
 echo
 echo "== energy regression gate: benchdiff vs bench/baselines =="
-scripts/bench_gate.sh build-check
+failed_gates=""
+scripts/bench_gate.sh build-check || failed_gates="$failed_gates energy"
 
 echo
 echo "== overhead gate: bench_codec_throughput ON vs OFF (budget ${BUDGET}%) =="
@@ -153,7 +158,7 @@ for pass_n in 1 2; do
     build-check/bench/bench_codec_throughput $BENCH_ARGS >/dev/null
 done
 
-python3 - "$BUDGET" <<'EOF'
+python3 - "$BUDGET" <<'EOF' || failed_gates="$failed_gates overhead"
 import json, math, sys
 
 budget_pct = float(sys.argv[1])
@@ -196,4 +201,8 @@ print("overhead gate: OK")
 EOF
 
 echo
+if [ -n "$failed_gates" ]; then
+  echo "check.sh: FAILED gates:$failed_gates" >&2
+  exit 1
+fi
 echo "check.sh: all gates passed"

@@ -574,7 +574,8 @@ std::vector<std::uint16_t> zrle_encode(ByteSpan mtf) {
   return out;
 }
 
-Bytes zrle_decode(const std::vector<std::uint16_t>& syms) {
+Bytes zrle_decode(const std::vector<std::uint16_t>& syms,
+                  std::size_t max_size) {
   Bytes out;
   std::uint64_t run = 0;
   std::uint64_t place = 1;
@@ -589,11 +590,14 @@ Bytes zrle_decode(const std::vector<std::uint16_t>& syms) {
     if (s == kZrleRunA || s == kZrleRunB) {
       run += place * (s == kZrleRunA ? 1 : 2);
       place <<= 1;
+      if (run > max_size - out.size())
+        throw Error("zrle: zero run past the block size");
       continue;
     }
     flush_run();
     if (s == kZrleEob) return out;
     if (s > 256) throw Error("zrle: bad symbol");
+    if (out.size() == max_size) throw Error("zrle: block overrun");
     out.push_back(static_cast<std::uint8_t>(s - 1));
   }
   throw Error("zrle: missing end-of-block");

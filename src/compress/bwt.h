@@ -50,7 +50,14 @@ inline constexpr std::uint32_t kZrleRunB = 1;
 inline constexpr std::uint32_t kZrleEob = 257;
 inline constexpr std::size_t kZrleAlphabet = 258;
 
+/// The BWT codec's largest block (level 9); a larger claim is damage.
+inline constexpr std::size_t kMaxBwtBlock = 9 * 100'000;
+
 std::vector<std::uint16_t> zrle_encode(ByteSpan mtf);
-Bytes zrle_decode(const std::vector<std::uint16_t>& syms);
+/// Inverse of zrle_encode. Throws once a zero run or the output would
+/// pass `max_size` bytes, so a forged run cannot demand memory (a
+/// decoder passes its block's declared size).
+Bytes zrle_decode(const std::vector<std::uint16_t>& syms,
+                  std::size_t max_size = kMaxBwtBlock);
 
 }  // namespace ecomp::compress

@@ -20,8 +20,6 @@ constexpr std::size_t kGroupSize = 50;  // symbols per selector group
 constexpr int kMaxTables = 6;
 constexpr int kTableCountBits = 3;
 constexpr int kRefinePasses = 3;
-// The encoder's largest block (level 9); a larger claim is damage.
-constexpr std::uint64_t kMaxBlockSize = 9 * 100'000;
 
 /// bzip2-style multi-table entropy coding: the symbol stream is cut into
 /// groups of 50; each group is coded with one of up to six Huffman
@@ -162,7 +160,7 @@ Bytes encode_block(ByteSpan block, int max_tables) {
 
 Bytes decode_block(ByteSpan in, std::size_t& pos) {
   const std::uint64_t block_size = get_varint(in, pos);
-  if (block_size > kMaxBlockSize) throw Error("bwt: block size too large");
+  if (block_size > kMaxBwtBlock) throw Error("bwt: block size too large");
   const std::uint64_t primary = get_varint(in, pos);
   const std::uint64_t payload_size = get_varint(in, pos);
   if (pos + payload_size > in.size()) throw Error("bwt: truncated block");
@@ -208,7 +206,7 @@ Bytes decode_block(ByteSpan in, std::size_t& pos) {
   Bytes mtf, last;
   {
     ECOMP_PROF_ZONE("mtf");
-    mtf = zrle_decode(syms);
+    mtf = zrle_decode(syms, static_cast<std::size_t>(block_size));
     last = mtf_decode(mtf);
   }
   if (last.size() != block_size) throw Error("bwt: block size mismatch");

@@ -37,17 +37,20 @@ Header read_header(ByteSpan in, std::uint16_t magic);
 /// Verify payload CRC after decode; throws Error on mismatch.
 void check_crc(const Header& h, ByteSpan decoded);
 
-/// A size field is a claim that damage can rewrite, so a decoder
-/// reserves at most this many output bytes per payload byte up front.
-/// A genuinely larger output still decodes (the buffer grows), and the
-/// decoder's size and CRC checks reject a false claim.
-inline constexpr std::uint64_t kMaxReservePerPayloadByte = 4096;
+/// A size field is a claim that damage can rewrite, so no claim is
+/// trusted past this many output bytes per payload byte. Deflate's own
+/// bound is ~1032x (two bits per 258-byte match), so a deflate member
+/// or selective block claiming more is damage, not data, and is
+/// refused; every decoder also reserves at most this much up front. A
+/// genuinely larger LZW or BWT output still decodes (the buffer grows),
+/// and the decoder's size and CRC checks reject a false claim.
+inline constexpr std::uint64_t kMaxExpansion = 4096;
 
 /// Reservation for an output whose size is `claimed` by a header
 /// followed by `payload_bytes` of coded data.
 inline std::size_t reserve_hint(std::uint64_t claimed,
                                 std::size_t payload_bytes) {
-  const std::uint64_t cap = payload_bytes * kMaxReservePerPayloadByte;
+  const std::uint64_t cap = payload_bytes * kMaxExpansion;
   return static_cast<std::size_t>(claimed < cap ? claimed : cap);
 }
 

@@ -20,11 +20,6 @@ namespace ecomp::compress {
 
 inline constexpr std::uint16_t kDeflateMagic = 0xE001;
 
-/// No deflate payload expands by more than this: the format's own bound
-/// is ~1032x (two bits per 258-byte match). A size claim past it is
-/// damage, not data.
-inline constexpr std::uint64_t kMaxDeflateExpansion = 4096;
-
 /// Raw DEFLATE bit-stream (no ecomp container): compress `input` as a
 /// sequence of blocks, the last marked BFINAL, into `out`.
 void deflate_raw(ByteSpan input, const Lz77Params& params, BitWriterLsb& out);

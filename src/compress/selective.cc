@@ -16,17 +16,17 @@ namespace ecomp::compress {
 namespace {
 
 /// One fully framed wire chunk (flag | varint payload_size | payload)
-/// plus its decision record — the unit both the serial loop and the
-/// parallel reorder buffer append, so the two paths are byte-identical
-/// by construction.
+/// plus its decision record — the unit both the serial path and the
+/// parallel reorder buffer hand out, so the two are byte-identical by
+/// construction.
 struct EncodedBlock {
   Bytes chunk;
   BlockInfo info;
 };
 
-/// Encode one block exactly as the serial writer always has. Safe to
-/// call concurrently: the codec's compress() is const-thread-safe and
-/// the policy is required to be (see SelectivePolicy docs).
+/// Encode one block. Safe to call concurrently: the codec's compress()
+/// is const-thread-safe and the policy is required to be (see
+/// SelectivePolicy docs).
 EncodedBlock encode_block(const DeflateCodec& codec,
                           const SelectivePolicy& policy, ByteSpan block) {
   ECOMP_SLIDING_TIMER("selective.encode_block_us");
@@ -63,15 +63,6 @@ EncodedBlock encode_block(const DeflateCodec& codec,
   return eb;
 }
 
-void write_selective_header(Bytes& out, ByteSpan input,
-                            std::size_t block_size) {
-  write_header(out, kSelectiveMagic, input.size(), crc32(input));
-  put_varint(out, block_size);
-  const std::size_t n_blocks =
-      input.empty() ? 0 : (input.size() + block_size - 1) / block_size;
-  put_varint(out, n_blocks);
-}
-
 }  // namespace
 
 SelectivePolicy SelectivePolicy::always() {
@@ -95,48 +86,13 @@ SelectiveResult selective_compress(ByteSpan input,
                                    std::size_t block_size, int level,
                                    unsigned threads) {
   ECOMP_TRACE_SPAN("selective.compress", "codec");
-  if (block_size == 0) throw Error("selective: block_size must be > 0");
-  if (!policy.energy_test)
-    throw Error("selective: policy requires an energy_test");
-  const DeflateCodec codec(level);
-
+  SelectiveStreamEncoder enc(input, policy, block_size, level, threads);
   SelectiveResult res;
-  Bytes& out = res.container;
-  write_selective_header(out, input, block_size);
-  const std::size_t n_blocks =
-      input.empty() ? 0 : (input.size() + block_size - 1) / block_size;
-
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, n_blocks));
-  if (workers <= 1) {
-    for (std::size_t off = 0; off < input.size(); off += block_size) {
-      const std::size_t len = std::min(block_size, input.size() - off);
-      EncodedBlock eb = encode_block(codec, policy, input.subspan(off, len));
-      out.insert(out.end(), eb.chunk.begin(), eb.chunk.end());
-      res.blocks.push_back(eb.info);
-    }
-    return res;
+  while (!enc.done()) {
+    const Bytes chunk = enc.next_chunk();
+    res.container.insert(res.container.end(), chunk.begin(), chunk.end());
   }
-
-  // Parallel mode: every block compresses independently on the pool;
-  // the futures vector is the reorder buffer — results are appended
-  // strictly in block order, so the container bytes match the serial
-  // path exactly. (A worker's exception resurfaces here at its block's
-  // position, after the pool has drained.)
-  std::vector<std::future<EncodedBlock>> pending;
-  pending.reserve(n_blocks);
-  par::ThreadPool pool(workers);
-  for (std::size_t off = 0; off < input.size(); off += block_size) {
-    const std::size_t len = std::min(block_size, input.size() - off);
-    const ByteSpan block = input.subspan(off, len);
-    pending.push_back(pool.async(
-        [&codec, &policy, block] { return encode_block(codec, policy, block); }));
-  }
-  for (auto& fut : pending) {
-    EncodedBlock eb = fut.get();
-    out.insert(out.end(), eb.chunk.begin(), eb.chunk.end());
-    res.blocks.push_back(eb.info);
-  }
+  res.blocks = enc.blocks();
   return res;
 }
 
@@ -239,7 +195,7 @@ ParsedContainer parse(ByteSpan container) {
     if (blk.info.compressed) {
       blk.info.raw_size =
           read_header(blk.payload, kDeflateMagic).original_size;
-      if (blk.info.raw_size / kMaxDeflateExpansion > blk.info.payload_size)
+      if (blk.info.raw_size / kMaxExpansion > blk.info.payload_size)
         throw Error("selective: block claims an impossible size");
     }
     raw_total += blk.info.raw_size;
@@ -324,7 +280,7 @@ SalvageResult selective_salvage(ByteSpan container) {
   // A corrupted header varint can claim an absurd size; don't let it
   // drive zero-fill allocations.
   if (!h || h->block_size == 0 || h->n_blocks > container.size() ||
-      h->original_size / kMaxDeflateExpansion > container.size()) {
+      h->original_size / kMaxExpansion > container.size()) {
     res.report.framing_truncated = true;
     return res;
   }
@@ -399,7 +355,7 @@ std::optional<Bytes> SelectiveStreamDecoder::poll() {
     }
     // A damaged header must not turn a lost block into a giant
     // zero-fill: the bytes fed so far bound what it could have held.
-    if (!ok && (decoded_ + expected) / kMaxDeflateExpansion > fed_)
+    if (!ok && (decoded_ + expected) / kMaxExpansion > fed_)
       throw Error("selective: lost block larger than the stream can hold");
     ++recovery_.blocks_total;
     if (ok) {
@@ -472,8 +428,7 @@ SelectiveStreamEncoder::SelectiveStreamEncoder(ByteSpan input,
   if (block_size_ == 0) throw Error("selective: block_size must be > 0");
   if (!policy_.energy_test)
     throw Error("selective: policy requires an energy_test");
-  const std::size_t n_blocks =
-      input_.empty() ? 0 : (input_.size() + block_size_ - 1) / block_size_;
+  const std::size_t n_blocks = (input_.size() + block_size_ - 1) / block_size_;
   const unsigned workers =
       static_cast<unsigned>(std::min<std::size_t>(threads, n_blocks));
   if (workers > 1) pipeline_ = std::make_unique<Pipeline>(level_, workers);
@@ -485,7 +440,9 @@ Bytes SelectiveStreamEncoder::next_chunk() {
   if (!header_sent_) {
     header_sent_ = true;
     Bytes header;
-    write_selective_header(header, input_, block_size_);
+    write_header(header, kSelectiveMagic, input_.size(), crc32(input_));
+    put_varint(header, block_size_);
+    put_varint(header, (input_.size() + block_size_ - 1) / block_size_);
     return header;
   }
   if (offset_ >= input_.size()) return {};

@@ -60,13 +60,13 @@ struct SelectiveResult {
   std::vector<BlockInfo> blocks;
 };
 
-/// Compress `input` block by block per the policy. `level` is the
-/// deflate effort for compressed blocks. With `threads` > 1 the blocks
-/// are compressed concurrently on a par::ThreadPool and reassembled
-/// through an ordered-completion reorder buffer; because each block is
-/// encoded independently and deterministically, the container is
-/// byte-identical to the serial (threads == 1) output at any thread
-/// count.
+/// Compress `input` block by block per the policy: a SelectiveStreamEncoder
+/// (below) drained into one buffer. `level` is the deflate effort for
+/// compressed blocks. With `threads` > 1 the blocks are compressed
+/// concurrently on a par::ThreadPool and reassembled in order; because
+/// each block is encoded independently and deterministically, the
+/// container is byte-identical to the serial (threads == 1) output at
+/// any thread count.
 SelectiveResult selective_compress(ByteSpan input,
                                    const SelectivePolicy& policy,
                                    std::size_t block_size = kDefaultBlockSize,
@@ -146,7 +146,7 @@ class SelectiveStreamDecoder {
   /// stream ends once original_size bytes are out; verify() records the
   /// CRC outcome in recovery() instead of throwing. Framing damage
   /// still throws — a destroyed boundary ends the stream either way —
-  /// and so does a lost block larger than kMaxDeflateExpansion times the
+  /// and so does a lost block larger than kMaxExpansion times the
   /// bytes fed so far could encode (a damaged header's zero-fill bomb).
   void set_tolerant(bool on) { tolerant_ = on; }
 

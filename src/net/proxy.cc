@@ -117,9 +117,8 @@ constexpr const char* kLatencyNames[] = {
     "net.proxy.selective_us", "net.proxy.put_us"};
 
 /// The trace a client transfer runs under: the thread's current trace,
-/// else a fresh id; none when `on` is false.
-obs::TraceContext client_trace(bool on) {
-  if (!on) return {};
+/// else a fresh id.
+obs::TraceContext client_trace() {
   const obs::TraceContext ctx = obs::current_trace();
   return ctx.valid() ? ctx : obs::TraceContext::mint();
 }
@@ -236,20 +235,12 @@ std::string ProxyServer::cache_key(const std::string& name,
 
 void ProxyServer::start_monitor(const MonitorConfig& cfg) {
 #if defined(ECOMP_OBS_ENABLED)
-  if (!cfg.enabled) return;
-  // The SLO baseline: Eq. 1 raw-download energy per MB on the paper's
-  // iPAQ/11 Mb/s device, shifted by the observed loss rate (every
-  // delivered MB costs 1/(1-q) transmissions). A healthy proxy serves
-  // at or below this line; faults push measured J/MB-served above it.
-  double raw_line = 0.0;
-  try {
-    raw_line = core::EnergyModel::from_device(sim::DeviceModel::ipaq_11mbps())
-                   .with_loss(cfg.loss)
-                   .raw_j_per_mb(1.0);
-  } catch (const std::exception&) {
-    raw_line = core::EnergyModel::from_device(sim::DeviceModel::ipaq_11mbps())
-                   .raw_j_per_mb(1.0);
-  }
+  // The SLO line: 1.15 x Eq. 1 raw-download energy per MB on the
+  // paper's iPAQ/11 Mb/s device, loss-free. A healthy proxy serves at
+  // or below Eq. 1; faults push measured J/MB-served above the line.
+  const double slo_line =
+      1.15 * core::EnergyModel::from_device(sim::DeviceModel::ipaq_11mbps())
+                 .raw_j_per_mb(1.0);
   // Price wasted wire bytes at the clean raw line: energy the device
   // spent receiving data that an error then threw away.
   const double waste_line = sim::TransferSimulator().raw_j_per_mb();
@@ -310,7 +301,7 @@ void ProxyServer::start_monitor(const MonitorConfig& cfg) {
     }
     st.series("net.proxy.conn_stall_s").append(t, stall_s);
     // This proxy's own request latency, under the names the registry
-    // sampler would give it (the latency-slo rule watches .p99).
+    // sampler would give it.
     const obs::SlidingHistogram::Snapshot req = latency_us_[0].snapshot();
     st.series("net.proxy.request_us.p50").append(t, req.p50);
     st.series("net.proxy.request_us.p99").append(t, req.p99);
@@ -322,17 +313,7 @@ void ProxyServer::start_monitor(const MonitorConfig& cfg) {
     r.name = "energy-slo";
     r.kind = obs::RuleKind::Slo;
     r.series = "net.proxy.j_per_mb_served";
-    r.threshold = raw_line * cfg.jmb_margin;
-    r.above = true;
-    r.for_n = 2;
-    monitor_->add_rule(std::move(r));
-  }
-  if (cfg.latency_slo_ms > 0.0) {
-    obs::Rule r;
-    r.name = "latency-slo";
-    r.kind = obs::RuleKind::Slo;
-    r.series = "net.proxy.request_us.p99";
-    r.threshold = cfg.latency_slo_ms * 1000.0;
+    r.threshold = slo_line;
     r.above = true;
     r.for_n = 2;
     monitor_->add_rule(std::move(r));
@@ -950,15 +931,15 @@ void ProxyServer::handle_request(Socket& client,
   const std::uint64_t remaining = payload->size() - offset;
   std::string status = "OK stream";
   if (!selective) {
-    // raw/full ship one length-framed payload.
+    // raw/full ship one length-framed payload under the whole payload's
+    // size and CRC, so the client can verify (and resume) any of them.
     if (remaining > kMaxFramedPayload) {
       fail("ERR payload too large");
       return;
     }
-    status = "OK " + std::to_string(remaining);
-    if (ranged)
-      status += " " + std::to_string(payload->size()) + " " +
-                std::to_string(crc32(*payload));
+    status = "OK " + std::to_string(remaining) + " " +
+             std::to_string(payload->size()) + " " +
+             std::to_string(crc32(*payload));
   }
   info->streaming = true;
   reply(std::move(status));
@@ -979,61 +960,14 @@ void ProxyServer::handle_request(Socket& client,
 Bytes download(std::uint16_t port, const std::string& name,
                const std::string& mode, DownloadStats* stats,
                unsigned threads) {
-  const obs::TraceContext ctx = client_trace(true);
-  obs::TraceScope scope(ctx);
-  ECOMP_TRACE_SPAN("net.download", "net");
-  ECOMP_COUNT("net.round_trips");
-  const auto t0 = std::chrono::steady_clock::now();
-  const ClientEvents event{ctx.trace_id, name, mode};
-  Socket s = connect_local(port);
-  event({.stage = "connect"});
-  send_frame(s, as_bytes(with_trace("GET " + mode + " " + name, ctx)));
-  event({.stage = "request"});
-  const std::string status = ecomp::to_string(recv_frame(s));
-  if (status.rfind("OK ", 0) != 0) {
-    event({.stage = "error", .err = "download: " + status});
-    throw Error("download: " + status);
-  }
-
-  DownloadStats local;
-  local.trace_id = ctx.trace_id;
-  local.trace_echoed = echoed_trace(status) == ctx.trace_id;
-  Bytes result;
-  if (mode == "selective") {
-    // Unframed stream: the container itself tells the decoder when the
-    // last block has arrived. With threads >= 2 the socket reads run on
-    // a feed thread while this thread decodes (§4.1 overlap for real) —
-    // bytes_on_wire is only touched from the feed thread, and the
-    // pipeline joins it before run() returns.
-    core::InterleavedDownloader::Options opt;
-    opt.chunk_bytes = 16 * 1024;
-    opt.threads = threads;
-    core::InterleavedDownloader dl(opt);
-    result = dl.run(
-        [&](std::uint8_t* dst, std::size_t max) -> std::size_t {
-          const std::size_t n = s.recv_some(dst, max);
-          local.bytes_on_wire += n;
-          if (n) maybe_test_crash();
-          return n;
-        },
-        [&](ByteSpan) { ++local.blocks; }, &local.block_infos);
-  } else {
-    const std::uint32_t payload_size = recv_frame_header(s);
-    local.bytes_on_wire = payload_size;
-    Bytes payload = s.recv_exact(payload_size);
-    maybe_test_crash();
-    result = mode == "raw" ? std::move(payload)
-                           : compress::DeflateCodec().decompress(payload);
-  }
-  local.bytes_decoded = result.size();
-  ECOMP_SLIDING_OBSERVE("net.client.request_us", elapsed_us(t0));
-  event({.stage = "stream",
-         .bytes_wire = static_cast<std::int64_t>(local.bytes_on_wire),
-         .bytes_raw = static_cast<std::int64_t>(local.bytes_decoded),
-         .blocks = static_cast<std::int64_t>(local.blocks)});
-  event({.stage = "close"});
-  if (stats) *stats = local;
-  return result;
+  TransferPolicy tp;
+  tp.max_retries = 0;
+  tp.timeout_ms = 0;
+  tp.resume = false;
+  tp.threads = threads;
+  DownloadOutcome out = download_resilient(port, name, mode, tp);
+  if (stats) *stats = std::move(out.stats);
+  return std::move(out.data);
 }
 
 std::size_t upload(std::uint16_t port, const std::string& name,
@@ -1052,24 +986,23 @@ DownloadOutcome download_resilient(std::uint16_t port,
     throw Error("download: bad mode " + mode);
   // One trace context for the whole transfer: every retry, resume, and
   // the eventual salvage all carry the id minted here.
-  const obs::TraceContext ctx = client_trace(policy.trace);
+  const obs::TraceContext ctx = client_trace();
   obs::TraceScope scope(ctx);
-  ECOMP_TRACE_SPAN("net.download_resilient", "net");
+  ECOMP_TRACE_SPAN("net.download", "net");
+  const auto t0 = std::chrono::steady_clock::now();
   const ClientEvents event{ctx.trace_id, name, mode};
   const bool selective = mode == "selective";
 
   DownloadOutcome out;
   out.stats.trace_id = ctx.trace_id;
   Rng rng(policy.jitter_seed);
-  // What a resume continues: the framed payload received so far
-  // (raw/full), or the decoder that has consumed the container so far,
-  // its blocks already in out.data (selective). Salvage closes that
-  // decoder out when retries run out.
+  // What a resume continues: the framed payload received so far and
+  // the total it belongs to (raw/full), or the decoder that has
+  // consumed the container so far, its blocks already in out.data
+  // (selective). Salvage closes that decoder out when retries run out.
   Bytes partial;
+  std::uint64_t partial_total = 0;
   core::SelectiveStreamDecoder dec;
-  std::uint64_t expected_total = 0;
-  std::uint32_t expected_crc = 0;
-  bool have_total = false;
   std::string last_error = "no attempts made";
   // A BUSY reply's retry-after raises the floor of the next backoff
   // wait — the server said when it wants to hear from us again.
@@ -1107,15 +1040,19 @@ DownloadOutcome download_resilient(std::uint16_t port,
       // the flight recorder still knows a connection was up and what
       // was asked of it (the crash-dump tests pivot on these).
       event({.stage = "connect", .attempt = attempt + 1});
-      send_frame(s, as_bytes(with_trace("GET-RANGE " + mode + " " + name +
-                                            " " + std::to_string(offset),
-                                        ctx)));
+      // A resume asks for GET-RANGE from what has arrived, which is never
+      // degraded, so it cannot splice two containers. Without resume
+      // every attempt starts over with GET, which the ladder may serve
+      // cheaper.
+      std::string request = (policy.resume ? "GET-RANGE " : "GET ") + mode +
+                            " " + name;
+      if (policy.resume) request += " " + std::to_string(offset);
+      send_frame(s, as_bytes(with_trace(std::move(request), ctx)));
       event({.stage = "request",
              .bytes_wire = static_cast<std::int64_t>(offset),
              .attempt = attempt + 1});
       const std::string status = ecomp::to_string(recv_frame(s));
-      if (ctx.valid() && echoed_trace(status) == ctx.trace_id)
-        out.stats.trace_echoed = true;
+      if (echoed_trace(status) == ctx.trace_id) out.stats.trace_echoed = true;
       if (const std::int64_t retry_after = parse_busy_retry_ms(status);
           retry_after >= 0 && status.rfind("BUSY", 0) == 0) {
         // Admission control shed us before reading the request; back
@@ -1133,7 +1070,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
         if (status.rfind("OK stream", 0) != 0)
           throw Error("download: " + status);
         // Decode while receiving, with threads >= 2 on a feed thread
-        // alongside the decode (§4.1), exactly as download() does.
+        // alongside the decode (§4.1).
         core::InterleavedDownloader::Options opt;
         opt.threads = policy.threads;
         core::InterleavedDownloader(opt).feed(
@@ -1158,18 +1095,13 @@ DownloadOutcome download_resilient(std::uint16_t port,
         std::uint32_t crc = 0;
         if (!(iss >> ok >> remaining >> total >> crc) || ok != "OK")
           throw Error("download: " + status);
-        if (have_total && total != expected_total) {
+        if (!partial.empty() && total != partial_total) {
           // The file changed server-side between attempts; the partial
-          // prefix no longer belongs to this payload. Forget the stale
-          // total too, or the next attempt's fresh payload would be
-          // rejected against it and the mismatch would never heal.
+          // prefix no longer belongs to this payload.
           partial.clear();
-          have_total = false;
           throw Error("download: payload changed between attempts");
         }
-        expected_total = total;
-        expected_crc = crc;
-        have_total = true;
+        partial_total = total;
         if (recv_frame_header(s) != remaining)
           throw Error("download: frame disagrees with status");
 
@@ -1185,11 +1117,10 @@ DownloadOutcome download_resilient(std::uint16_t port,
           partial.insert(partial.end(), buf.begin(), buf.begin() + n);
           left -= n;
         }
-        if (partial.size() != expected_total)
+        if (partial.size() != total)
           throw Error("download: size mismatch after reassembly");
-        if (crc32(partial) != expected_crc) {
+        if (crc32(partial) != crc) {
           partial.clear();  // corrupted somewhere; no byte is trustworthy
-          have_total = false;
           throw Error("download: payload CRC mismatch");
         }
         out.stats.bytes_on_wire = partial.size();
@@ -1199,6 +1130,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
       }
       out.stats.bytes_decoded = out.data.size();
       record_attempt();
+      ECOMP_SLIDING_OBSERVE("net.client.request_us", elapsed_us(t0));
       event({.stage = "stream",
              .bytes_wire = static_cast<std::int64_t>(out.stats.bytes_on_wire),
              .bytes_raw = static_cast<std::int64_t>(out.stats.bytes_decoded),
@@ -1228,6 +1160,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
     out.complete = false;
     out.stats.bytes_on_wire = dec.bytes_fed();
     out.stats.bytes_decoded = out.data.size();
+    ECOMP_SLIDING_OBSERVE("net.client.request_us", elapsed_us(t0));
     event({.stage = "salvage",
            .bytes_wire = static_cast<std::int64_t>(out.stats.bytes_on_wire),
            .bytes_raw = static_cast<std::int64_t>(out.stats.bytes_decoded),
@@ -1244,7 +1177,7 @@ std::size_t upload_resilient(std::uint16_t port, const std::string& name,
                              const compress::SelectivePolicy& policy,
                              const TransferPolicy& tp, int* attempts) {
   // One trace context across every replay.
-  const obs::TraceContext ctx = client_trace(tp.trace);
+  const obs::TraceContext ctx = client_trace();
   obs::TraceScope scope(ctx);
   const ClientEvents event{ctx.trace_id, name, "put"};
   Rng rng(tp.jitter_seed);

@@ -3,21 +3,21 @@
 // localhost.
 //
 // Protocol (control frames are u32-length-prefixed):
-//   download: "GET <mode> <name>"   mode ∈ { raw | full | selective }
-//     raw/full  → status "OK <n>", then an n-byte length-framed payload
-//     selective → status "OK stream", then container bytes streamed
-//                 unframed while blocks are still being compressed
-//                 (§5's on-demand overlap, for real); the client's
-//                 streaming decoder knows when the container ends.
-//   resume:   "GET-RANGE <mode> <name> <offset>" — re-fetch from a byte
-//     offset of the same wire payload, so an interrupted download keeps
-//     what it has. raw/full → status "OK <remaining> <total> <crc32>"
-//     (crc32 of the whole payload, so even raw mode is verifiable),
-//     then the remaining bytes length-framed; selective → "OK stream",
-//     then container bytes from the offset. A selective cache miss at
-//     offset 0 streams while it encodes, exactly like GET; past 0 the
-//     container is built first, so "ERR bad offset" precedes any
-//     status. Plain GET is unchanged, so old clients keep working.
+//   download: "GET-RANGE <mode> <name> <offset>"  mode ∈ { raw | full |
+//     selective } — fetch the wire payload from a byte offset, so an
+//     interrupted download keeps what it has.
+//     raw/full  → status "OK <remaining> <total> <crc32>" (crc32 of the
+//                 whole payload, so even raw mode is verifiable), then
+//                 the remaining bytes as one length-framed payload
+//     selective → status "OK stream", then container bytes from the
+//                 offset, unframed; the client's streaming decoder
+//                 knows when the container ends. A cache miss at
+//                 offset 0 streams while it encodes (§5's on-demand
+//                 overlap, for real); past 0 the container is built
+//                 first, so "ERR bad offset" precedes any status.
+//   "GET <mode> <name>" is GET-RANGE at offset 0 that the degradation
+//     ladder (below) may serve cheaper; GET-RANGE never degrades, so a
+//     resume cannot splice two different containers.
 //   upload:   "PUT <name>", then a streamed selective container; reply
 //             "OK stored <bytes>" once decoded and stored.
 //   overload: a connection refused by admission control receives a
@@ -100,20 +100,10 @@ namespace ecomp::net {
 /// only in ECOMP_OBS=ON builds — in OFF builds the config is accepted
 /// and ignored so call sites need no guards.
 struct MonitorConfig {
-  bool enabled = true;
   std::uint32_t cadence_ms = 1000;  ///< sampler period
   /// Liveness: alert when an active connection makes no wire progress
   /// for this long (Delay faults, dead peers).
   double stall_timeout_s = 5.0;
-  /// Latency SLO on this proxy's net.proxy.request_us.p99; 0 disables
-  /// the rule.
-  double latency_slo_ms = 0.0;
-  /// Energy SLO line = Eq. 1 raw J/MB (shifted by `loss`) x this
-  /// margin; measured J/MB-served above it for 2 samples alerts.
-  double jmb_margin = 1.15;
-  /// Observed channel loss rate folded into the baseline via
-  /// EnergyModel::with_loss (PR 3's threshold shift).
-  double loss = 0.0;
 };
 
 /// Serving knobs for ProxyServer (see docs/ROBUSTNESS.md §admission).
@@ -218,7 +208,7 @@ class ProxyServer {
   /// counters and the other histograms mirror the process-wide registry.
   obs::StatsSnapshot stats() const;
 
-  /// The embedded monitor (nullptr in OFF builds or when disabled).
+  /// The embedded monitor (nullptr in ECOMP_OBS=OFF builds).
   obs::Monitor* monitor() const { return monitor_.get(); }
 
   /// Shared container cache counters (single-flight test surface).
@@ -345,11 +335,12 @@ struct DownloadStats {
   }
 };
 
-/// Fetch `name` from a proxy at `port`. mode "selective" uses the
-/// streaming interleaved decoder (decoding each block as it completes);
-/// "full"/"raw" buffer then decode. `threads` >= 2 runs the selective
-/// decode as a true receive/decompress pipeline (feed thread + decode
-/// worker) — the reconstructed bytes are identical either way.
+/// Fetch `name` from a proxy at `port`: one GET attempt with no
+/// deadline, i.e. download_resilient with max_retries = 0, timeout_ms =
+/// 0, resume = false and `threads`. mode "selective" decodes each block
+/// as it completes; "full"/"raw" buffer, CRC-check, then decode.
+/// `threads` >= 2 runs the selective receive on a feed thread beside
+/// the decode — the reconstructed bytes are identical either way.
 Bytes download(std::uint16_t port, const std::string& name,
                const std::string& mode, DownloadStats* stats = nullptr,
                unsigned threads = 1);
@@ -369,16 +360,15 @@ struct TransferPolicy {
   std::uint32_t backoff_base_ms = 10;
   std::uint32_t backoff_max_ms = 250;
   std::uint64_t jitter_seed = 0x5EEDull;  ///< deterministic backoff jitter
-  bool resume = true;  ///< GET-RANGE from the bytes already received
+  /// GET-RANGE from the bytes already received (never degraded); false
+  /// restarts every attempt with GET, which the ladder may degrade.
+  bool resume = true;
   /// Selective mode only: when retries run out mid-container, salvage
   /// whatever blocks arrived intact instead of throwing.
   bool salvage = false;
   /// Selective mode only: >= 2 runs the socket reads on a feed thread
-  /// alongside the decode (§4.1), as download()'s `threads` does.
+  /// alongside the decode (§4.1).
   unsigned threads = 1;
-  /// Mint/propagate a TraceContext with each request (an already-current
-  /// thread trace is reused) and stamp it into events and stats.
-  bool trace = true;
 };
 
 struct DownloadOutcome {
@@ -393,13 +383,15 @@ struct DownloadOutcome {
   compress::RecoveryReport recovery;
 };
 
-/// download() with deadlines, bounded retries (exponential backoff with
-/// deterministic jitter; a BUSY reply's retry-after raises the floor of
-/// the next wait), and resume-from-offset over GET-RANGE. Selective
-/// mode decodes while it receives, and a resume continues the same
-/// decoder, so each block is decoded once however often the link
+/// The one download routine: deadlines, bounded retries (exponential
+/// backoff with deterministic jitter; a BUSY reply's retry-after raises
+/// the floor of the next wait), and resume-from-offset over GET-RANGE.
+/// Selective mode decodes while it receives, and a resume continues the
+/// same decoder, so each block is decoded once however often the link
 /// breaks. Every completed download is CRC-verified — raw mode
-/// included. Throws the last failure once retries are exhausted, unless
+/// included. Every transfer carries one trace id (the thread's current
+/// trace, else a fresh one) and runs under one net.download span.
+/// Throws the last failure once retries are exhausted, unless
 /// policy.salvage turns a partial selective container into a salvaged
 /// DownloadOutcome.
 DownloadOutcome download_resilient(std::uint16_t port,

@@ -168,6 +168,14 @@ TEST_F(FaultFixture, CorruptionIsDetectedInRawMode) {
   EXPECT_GE(outcome.attempts, 2);
 }
 
+TEST_F(FaultFixture, PlainDownloadVerifiesTheRawPayload) {
+  // download() is one GET attempt of download_resilient, and a raw GET
+  // carries the whole payload's CRC: a byte flipped on the wire is an
+  // Error, never 300,000 wrong bytes returned as the file.
+  arm(FaultKind::Corrupt, 5000);
+  EXPECT_THROW(download(server_->port(), "f.xml", "raw"), Error);
+}
+
 TEST_F(FaultFixture, SalvageReturnsPartialWhenRetriesExhaust) {
   // Incompressible 300 KB file: its container is ~300 KB of raw blocks,
   // so three attempts truncated at 60 KB each leave the client with

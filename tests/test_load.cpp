@@ -218,6 +218,38 @@ TEST(ProxyLoad, LoadWatermarksDegradeBeforeShedding) {
   server->stop();
 }
 
+TEST(ProxyLoad, ResumingDownloadsAreNeverDegraded) {
+  // One held slot of four is the level rung. A resuming download asks
+  // with GET-RANGE, which the ladder never degrades, so a resume cannot
+  // splice a level-1 prefix onto a level-9 tail; a restarting one asks
+  // with GET, which the ladder may serve cheaper. Both decode exactly.
+  const Bytes data = test_data();
+  ProxyOptions opt;
+  opt.workers = 4;
+  opt.max_conns = 4;
+  auto server = make_server(data, opt);
+  Socket held = hold_slot(server->port());
+  await_depth(*server, 1);
+
+  auto tp = fast_policy(0);
+  tp.resume = true;
+  const auto ranged =
+      download_resilient(server->port(), "f.xml", "selective", tp);
+  EXPECT_EQ(ranged.data, data);
+  EXPECT_EQ(server->stats().admission.degraded_level_total, 0u);
+
+  await_depth(*server, 1);
+  tp.resume = false;
+  const auto plain =
+      download_resilient(server->port(), "f.xml", "selective", tp);
+  EXPECT_EQ(plain.data, data);
+  EXPECT_EQ(server->stats().admission.degraded_level_total, 1u);
+  // The level-1 container is the larger one on the wire.
+  EXPECT_GT(plain.stats.bytes_on_wire, ranged.stats.bytes_on_wire);
+  held.close();
+  server->stop();
+}
+
 // --- graceful drain ----------------------------------------------------
 
 TEST(ProxyLoad, StopDrainsInFlightDownloads) {

@@ -9,10 +9,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "compress/bwt.h"
+#include "compress/bwt_codec.h"
 #include "compress/codec.h"
 #include "compress/container.h"
 #include "compress/selective.h"
 #include "core/interleave.h"
+#include "util/bitio.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -238,6 +241,32 @@ TEST(SizeClaims, BwtBlockSizeRaisesErrorNotBadAlloc) {
   compress::get_varint(c, pos);
   compress::get_varint(c, pos);
   EXPECT_THROW(codec->decompress(rewrite_varint(c, pos, kHugeClaim)), Error);
+}
+
+TEST(SizeClaims, BwtZeroRunStopsAtTheBlockSize) {
+  // A hand-built 52-byte container: one table whose only symbols are
+  // RUNB and EOB (1-bit codes 0 and 1), then 45 RUNB digits and EOB in
+  // a block that declares 100 bytes. The digits claim a zero run of
+  // about 7e13 bytes; the decoder must refuse it, not allocate it.
+  BitWriterMsb bw;
+  bw.put(1, 3);  // table count
+  for (std::uint32_t s = 0; s < compress::kZrleAlphabet; ++s)
+    bw.put(s == compress::kZrleRunB || s == compress::kZrleEob ? 1 : 0, 1);
+  bw.put(1, 5);  // RUNB's code length
+  bw.put(1, 5);  // EOB's code length
+  for (int i = 0; i < 45; ++i) bw.put(0, 1);  // RUNB
+  bw.put(1, 1);                                // EOB
+  const Bytes payload = bw.take();
+  Bytes c;
+  compress::write_header(c, compress::kBwtMagic, 100, 0);
+  compress::put_varint(c, 100);  // RLE stream size
+  compress::put_varint(c, 1);    // block count
+  compress::put_varint(c, 100);  // block size
+  compress::put_varint(c, 0);    // primary index
+  compress::put_varint(c, payload.size());
+  c.insert(c.end(), payload.begin(), payload.end());
+  ASSERT_EQ(c.size(), 52u);
+  EXPECT_THROW(compress::make_bwt()->decompress(c), Error);
 }
 
 // ---------------------------------------------------- salvage golden

@@ -513,6 +513,35 @@ TEST_F(TelemetryProxyTest, EventsCarryByteCountsAndParseAsJson) {
   EXPECT_TRUE(saw_stream);
 }
 
+TEST_F(TelemetryProxyTest, ClientLatencyIsOncePerTransferAndPerAttempt) {
+#if !defined(ECOMP_OBS_ENABLED)
+  GTEST_SKIP() << "reads the registry's net.client.* histograms";
+#else
+  // The first connection is cut mid-payload and the resume finishes
+  // the transfer: one request_us sample for the transfer, one
+  // attempt_us sample for each of its two connections.
+  net::ProxyServer server(store_with("f", 120000),
+                          compress::SelectivePolicy::always());
+  net::FaultSpec spec;
+  spec.kind = net::FaultKind::Truncate;
+  spec.at_byte = 5000;
+  server.set_fault_injector(std::make_shared<net::FaultInjector>(spec, 1));
+  auto& request = obs::Registry::global().sliding("net.client.request_us");
+  auto& attempt = obs::Registry::global().sliding("net.client.attempt_us");
+  const std::uint64_t requests = request.snapshot().total_count;
+  const std::uint64_t attempts = attempt.snapshot().total_count;
+  net::TransferPolicy tp;
+  tp.backoff_base_ms = 1;
+  tp.backoff_max_ms = 5;
+  const auto out = net::download_resilient(server.port(), "f", "full", tp);
+  server.stop();
+  EXPECT_EQ(out.data, data_);
+  EXPECT_EQ(out.attempts, 2);
+  EXPECT_EQ(request.snapshot().total_count - requests, 1u);
+  EXPECT_EQ(attempt.snapshot().total_count - attempts, 2u);
+#endif
+}
+
 // ------------------------------------------------------ STATS surface
 
 TEST_F(TelemetryProxyTest, StatsVerbServesAllThreeFormats) {
