@@ -4,10 +4,12 @@
 // container, block i decoded while block i+1 downloads). Relative to
 // downloading raw. Block sizes come from the real container.
 //
-// The "measured" column runs the actual two-thread pipeline
-// (InterleavedDownloader, feed thread + decode worker) against a paced
-// chunk source that emulates the model's wire rate sped up by
-// ECOMP_FIG5_TIMESCALE (default 10), then rescales the wall clock back.
+// The "measured" column runs the actual interleaved download
+// (InterleavedDownloader: the calling thread receives from a paced
+// chunk source while the decoder inflates arrived blocks on a 2-thread
+// pool) against a source that emulates the model's wire rate sped up
+// by ECOMP_FIG5_TIMESCALE (default 10), then rescales the wall clock
+// back.
 // Comparing that against the Eq. 4/5 closed form gives the model error
 // Fig. 7 reports — here for the overlap the paper could only infer.
 #include <chrono>
@@ -36,7 +38,7 @@ double timescale() {
   return 10.0;
 }
 
-/// Wall time (rescaled to wire seconds) of the threaded pipeline
+/// Wall time (rescaled to wire seconds) of the interleaved download
 /// decoding `container` from a source paced at `rate_mb_s * speedup`.
 double measure_pipeline_s(const Bytes& container, double rate_mb_s,
                           double speedup) {
@@ -144,7 +146,7 @@ int main() {
       "\nreading: interleaving hides the decompression time inside the "
       "download's idle gaps — the third column drops toward the pure "
       "download time (paper §4.1). The measured column is the real "
-      "two-thread pipeline on an emulated wire (timescale %.0fx); its "
+      "interleaved download on an emulated wire (timescale %.0fx); its "
       "mean |model error| vs Eq. 4/5 is %.1f%% (Fig. 7's metric).\n",
       speedup, mean_err);
   report.headline("mean_abs_model_err_pct", mean_err);

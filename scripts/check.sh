@@ -145,12 +145,13 @@ echo "link hygiene: OK"
 
 BENCH_ARGS="--benchmark_repetitions=3 --benchmark_min_time=0.2"
 # gbench runs all repetitions of one invocation in a single process, so
-# interleave at the process level instead: two passes per side in
-# OFF/ON/OFF/ON order, then take each benchmark's best median per side.
-# A slow machine-load transient then has to hit both passes of one side
-# (and neither pass of the other) to bias the ratio, which tames the
-# run-to-run wall-clock noise a single pass per side is exposed to.
-for pass_n in 1 2; do
+# interleave at the process level instead: five passes per side in
+# OFF/ON/OFF/ON... order, then take each benchmark's best median per
+# side. A slow machine-load transient then has to hit every pass of one
+# side (and none of the other) to bias the ratio; two passes per side
+# read +3.21% and then -6.29% on one unchanged tree.
+GATE_PASSES=5
+for pass_n in $(seq 1 "$GATE_PASSES"); do
   mkdir -p "build-check/obs_gate/on$pass_n" "build-check/obs_gate/off$pass_n"
   ECOMP_BENCH_DIR="build-check/obs_gate/off$pass_n" \
     build-check-obsoff/bench/bench_codec_throughput $BENCH_ARGS >/dev/null
@@ -158,10 +159,11 @@ for pass_n in 1 2; do
     build-check/bench/bench_codec_throughput $BENCH_ARGS >/dev/null
 done
 
-python3 - "$BUDGET" <<'EOF' || failed_gates="$failed_gates overhead"
+python3 - "$BUDGET" "$GATE_PASSES" <<'EOF' || failed_gates="$failed_gates overhead"
 import json, math, sys
 
 budget_pct = float(sys.argv[1])
+gate_passes = int(sys.argv[2])
 
 def medians(path):
     report = json.load(open(path))
@@ -174,9 +176,9 @@ def medians(path):
 def best_of(side):
     passes = [
         medians(f"build-check/obs_gate/{side}{n}/BENCH_codec_throughput.json")
-        for n in (1, 2)
+        for n in range(1, gate_passes + 1)
     ]
-    common = set(passes[0]) & set(passes[1])
+    common = set.intersection(*(set(p) for p in passes))
     return {name: min(p[name] for p in passes) for name in common}
 
 m_on, m_off = best_of("on"), best_of("off")

@@ -289,7 +289,7 @@ int cmd_compress(const ArgParser& p, std::ostream& out) {
     out << "selective: " << res.blocks.size() << " blocks, " << raw
         << " shipped raw\n";
   } else {
-    packed = compress::make_codec(p.codec)->compress(input);
+    packed = compress::make_codec(p.codec, p.level)->compress(input);
   }
   ECOMP_COUNT_N("cli.bytes_out", packed.size());
   {

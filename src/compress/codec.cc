@@ -73,15 +73,15 @@ std::unique_ptr<Codec> make_bwt(int level) {
   return std::make_unique<BwtCodec>(level);
 }
 
-std::unique_ptr<Codec> make_codec(std::string_view name) {
+std::unique_ptr<Codec> make_codec(std::string_view name, int level) {
   if (name == "deflate" || name == "gzip" || name == "zlib")
-    return make_deflate();
+    return make_deflate(level);
   if (name == "lzw" || name == "compress") return make_lzw();
-  if (name == "bwt" || name == "bzip2") return make_bwt();
+  if (name == "bwt" || name == "bzip2") return make_bwt(level);
   // The interoperable on-disk formats of the paper's three tools.
-  if (name == "gz") return std::make_unique<GzFormatCodec>(9);
+  if (name == "gz") return std::make_unique<GzFormatCodec>(level);
   if (name == "Z") return std::make_unique<ZFormatCodec>();
-  if (name == "bz2") return std::make_unique<Bz2FormatCodec>(9);
+  if (name == "bz2") return std::make_unique<Bz2FormatCodec>(level);
   throw Error("unknown codec: " + std::string(name));
 }
 

@@ -38,9 +38,11 @@ std::unique_ptr<Codec> make_deflate(int level = 9);
 std::unique_ptr<Codec> make_lzw(int max_bits = 16);
 std::unique_ptr<Codec> make_bwt(int level = 9);
 
-/// Lookup by name ("deflate"|"gzip", "lzw"|"compress", "bwt"|"bzip2").
-/// Throws Error for unknown names.
-std::unique_ptr<Codec> make_codec(std::string_view name);
+/// Lookup by name ("deflate"|"gzip", "lzw"|"compress", "bwt"|"bzip2"),
+/// at `level` where the codec has one (LZW has none; for BWT it is the
+/// block size in 100 KB, as bzip2's -1..-9). Throws Error for unknown
+/// names.
+std::unique_ptr<Codec> make_codec(std::string_view name, int level = 9);
 
 /// All registered codec names (canonical forms).
 std::vector<std::string> codec_names();

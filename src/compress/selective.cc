@@ -1,7 +1,7 @@
 #include "compress/selective.h"
 
 #include <algorithm>
-#include <cstring>
+#include <chrono>
 #include <deque>
 #include <future>
 
@@ -166,105 +166,82 @@ std::optional<BlockFrame> read_block_frame(ByteSpan in, std::size_t& pos,
   return f;
 }
 
-struct ParsedBlock {
-  BlockInfo info;
-  ByteSpan payload;
-};
-
-struct ParsedContainer {
-  SelectiveHeader header;
-  std::vector<ParsedBlock> blocks;
-};
-
-/// The whole-buffer block table (selective_decompress, block_info).
-ParsedContainer parse(ByteSpan container) {
-  ParsedContainer pc;
-  std::size_t pos = 0;
-  const auto header = read_selective_header(container, pos);
-  if (!header) throw Error("selective: truncated header");
-  pc.header = *header;
-  std::uint64_t raw_total = 0;
-  for (std::uint64_t b = 0; b < pc.header.n_blocks; ++b) {
-    const auto frame = read_block_frame(container, pos, false);
-    if (!frame) throw Error("selective: truncated block payload");
-    ParsedBlock blk{{frame->payload.size(), frame->payload.size(),
-                     frame->flag == 1},
-                    frame->payload};
-    // Raw size: the payload's own for raw blocks, the member header's
-    // for compressed ones — which must not claim an impossible ratio.
-    if (blk.info.compressed) {
-      blk.info.raw_size =
-          read_header(blk.payload, kDeflateMagic).original_size;
-      if (blk.info.raw_size / kMaxExpansion > blk.info.payload_size)
-        throw Error("selective: block claims an impossible size");
+/// Feed `container` to `dec` in 1 MiB slices, as a socket would feed it
+/// (the decoder then holds about a block and a slice, not a second copy
+/// of the container), appending every block to `out`. The header's
+/// size claim reserves `out` only as far as the container can back it.
+void decode_slices(SelectiveStreamDecoder& dec, ByteSpan container,
+                   Bytes& out) {
+  const auto take = [&](bool wait) {
+    while (auto block = dec.poll(wait)) {
+      if (out.capacity() == 0)
+        out.reserve(reserve_hint(dec.header()->original_size,
+                                 container.size()));
+      out.insert(out.end(), block->begin(), block->end());
     }
-    raw_total += blk.info.raw_size;
-    pc.blocks.push_back(blk);
+  };
+  constexpr std::size_t kSlice = std::size_t{1} << 20;
+  for (std::size_t off = 0; off < container.size() && !dec.finished();
+       off += kSlice) {
+    dec.feed(container.subspan(off, std::min(kSlice, container.size() - off)));
+    take(false);
   }
-  if (raw_total != pc.header.original_size)
-    throw Error("selective: block sizes disagree with header");
-  return pc;
+  take(true);
+}
+
+/// Decode one block's payload, checked against the size the header
+/// implies: strict mode throws on any failure (a bad flag has thrown
+/// already), tolerant mode returns nullopt — the block is lost.
+std::optional<Bytes> decode_block(std::uint8_t flag, ByteSpan payload,
+                                  std::uint64_t expected, bool tolerant) {
+  if (flag > 1) return std::nullopt;
+  ECOMP_SLIDING_TIMER("selective.decode_block_us");
+  try {
+    Bytes block = flag == 1 ? DeflateCodec().decompress(payload)
+                            : Bytes(payload.begin(), payload.end());
+    if (block.size() != expected)
+      throw Error("selective: block decodes to the wrong size");
+    return block;
+  } catch (const Error&) {
+    if (!tolerant) throw;
+    return std::nullopt;
+  }
 }
 
 }  // namespace
 
 Bytes selective_decompress(ByteSpan container, unsigned threads) {
   ECOMP_TRACE_SPAN("selective.decompress", "codec");
-  const ParsedContainer pc = parse(container);
-  const Header h{pc.header.original_size, pc.header.crc};
-  const DeflateCodec codec;
-
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads, pc.blocks.size()));
-  if (workers <= 1) {
-    Bytes out;
-    out.reserve(h.original_size);
-    for (const auto& blk : pc.blocks) {
-      if (blk.info.compressed) {
-        const Bytes raw = codec.decompress(blk.payload);
-        out.insert(out.end(), raw.begin(), raw.end());
-      } else {
-        out.insert(out.end(), blk.payload.begin(), blk.payload.end());
-      }
-    }
-    check_crc(h, out);
-    return out;
-  }
-
-  // Parallel mode: the block table gives every block's output offset up
-  // front (prefix sum of raw sizes), so workers inflate straight into
-  // disjoint slices of the final buffer; raw blocks are plain copies.
-  Bytes out(h.original_size);
-  std::vector<std::future<void>> pending;
-  pending.reserve(pc.blocks.size());
-  par::ThreadPool pool(workers);
-  std::size_t off = 0;
-  for (const auto& blk : pc.blocks) {
-    const ByteSpan payload = blk.payload;
-    std::uint8_t* dst = out.data() + off;
-    const std::size_t expect = blk.info.raw_size;
-    off += expect;
-    if (!blk.info.compressed) {
-      if (!payload.empty()) std::memcpy(dst, payload.data(), payload.size());
-      continue;
-    }
-    pending.push_back(pool.async([&codec, payload, dst, expect] {
-      const Bytes raw = codec.decompress(payload);
-      if (raw.size() != expect)
-        throw Error("selective: block decoded to unexpected size");
-      std::memcpy(dst, raw.data(), raw.size());
-    }));
-  }
-  for (auto& fut : pending) fut.get();
-  check_crc(h, out);
+  SelectiveStreamDecoder dec(threads);
+  Bytes out;
+  decode_slices(dec, container, out);
+  dec.finish();  // throws unless every block arrived and the CRC holds
   return out;
 }
 
 std::vector<BlockInfo> selective_block_info(ByteSpan container) {
-  const ParsedContainer pc = parse(container);
+  std::size_t pos = 0;
+  const auto header = read_selective_header(container, pos);
+  if (!header) throw Error("selective: truncated header");
   std::vector<BlockInfo> infos;
-  infos.reserve(pc.blocks.size());
-  for (const auto& blk : pc.blocks) infos.push_back(blk.info);
+  std::uint64_t raw_total = 0;
+  for (std::uint64_t b = 0; b < header->n_blocks; ++b) {
+    const auto frame = read_block_frame(container, pos, false);
+    if (!frame) throw Error("selective: truncated block payload");
+    BlockInfo info{frame->payload.size(), frame->payload.size(),
+                   frame->flag == 1};
+    // Raw size: the payload's own for raw blocks, the member header's
+    // for compressed ones — which must not claim an impossible ratio.
+    if (info.compressed) {
+      info.raw_size = read_header(frame->payload, kDeflateMagic).original_size;
+      if (info.raw_size / kMaxExpansion > info.payload_size)
+        throw Error("selective: block claims an impossible size");
+    }
+    raw_total += info.raw_size;
+    infos.push_back(info);
+  }
+  if (raw_total != header->original_size)
+    throw Error("selective: block sizes disagree with header");
   return infos;
 }
 
@@ -286,18 +263,8 @@ SalvageResult selective_salvage(ByteSpan container) {
   }
   SelectiveStreamDecoder dec;
   dec.set_tolerant(true);
-  res.data.reserve(h->original_size);
   try {
-    // Fed in slices, as a socket would feed it: the decoder then holds
-    // about a block and a slice, not a second copy of the container.
-    constexpr std::size_t kSlice = std::size_t{1} << 20;
-    for (std::size_t off = 0; off < container.size() && !dec.finished();
-         off += kSlice) {
-      dec.feed(container.subspan(off,
-                                 std::min(kSlice, container.size() - off)));
-      while (auto block = dec.poll())
-        res.data.insert(res.data.end(), block->begin(), block->end());
-    }
+    decode_slices(dec, container, res.data);
   } catch (const Error&) {
     // Framing destroyed: every boundary after it is gone with it, and
     // finish() books the tail as lost.
@@ -305,6 +272,25 @@ SalvageResult selective_salvage(ByteSpan container) {
   res.report = dec.finish();
   return res;
 }
+
+/// Threads >= 2: the blocks framed but not yet handed out, in stream
+/// order, each with its decode_block() outcome to come — compressed
+/// ones from the pool. A full window holds poll() back, as the
+/// encoder's does, so memory stays bounded however small the blocks.
+struct SelectiveStreamDecoder::Pool {
+  std::deque<std::pair<Frame, std::future<std::optional<Bytes>>>> window;
+  par::ThreadPool pool;  // last member: joins before the window dies
+
+  explicit Pool(unsigned workers) : pool(workers) {}
+};
+
+SelectiveStreamDecoder::SelectiveStreamDecoder(unsigned threads)
+    : threads_(threads) {}
+SelectiveStreamDecoder::~SelectiveStreamDecoder() = default;
+SelectiveStreamDecoder::SelectiveStreamDecoder(
+    SelectiveStreamDecoder&&) noexcept = default;
+SelectiveStreamDecoder& SelectiveStreamDecoder::operator=(
+    SelectiveStreamDecoder&&) noexcept = default;
 
 void SelectiveStreamDecoder::feed(ByteSpan chunk) {
   // Reclaim the consumed prefix once it is at least half the buffer:
@@ -317,64 +303,116 @@ void SelectiveStreamDecoder::feed(ByteSpan chunk) {
   fed_ += chunk.size();
 }
 
-bool SelectiveStreamDecoder::finished() const {
-  return header_ && (blocks_done_ == header_->n_blocks ||
-                     (tolerant_ && decoded_ >= header_->original_size));
+bool SelectiveStreamDecoder::ends_stream(std::uint64_t blocks,
+                                         std::uint64_t bytes) const {
+  return header_ && (blocks == header_->n_blocks ||
+                     (tolerant_ && bytes >= header_->original_size));
 }
 
-std::optional<Bytes> SelectiveStreamDecoder::poll() {
+std::optional<SelectiveStreamDecoder::Frame>
+SelectiveStreamDecoder::next_frame(ByteSpan& payload) {
+  if (ends_stream(framed_, framed_out_)) return std::nullopt;
+  const auto frame = read_block_frame(buf_, pos_, tolerant_);
+  if (!frame) return std::nullopt;
+  payload = frame->payload;
+  // What this block must decode to for downstream offsets to line up —
+  // the zero-fill size when a damaged block is skipped in tolerant mode.
+  const std::uint64_t expected = std::min<std::uint64_t>(
+      header_->block_size, header_->original_size > framed_out_
+                               ? header_->original_size - framed_out_
+                               : 0);
+  ++framed_;
+  framed_out_ += expected;
+  return Frame{frame->flag, payload.size(), expected, fed_};
+}
+
+std::optional<Bytes> SelectiveStreamDecoder::poll(bool wait) {
   try {
-    const ByteSpan in(buf_);
     if (!header_) {
-      header_ = read_selective_header(in, pos_);
+      header_ = read_selective_header(buf_, pos_);
       if (!header_) return std::nullopt;
+      const auto workers = static_cast<unsigned>(
+          std::min<std::uint64_t>(threads_, header_->n_blocks));
+      if (workers > 1) pool_ = std::make_unique<Pool>(workers);
     }
-    if (finished()) return std::nullopt;
-    const auto frame = read_block_frame(in, pos_, tolerant_);
+    if (pool_) return poll_pool(wait);
+    ByteSpan payload;
+    const auto frame = next_frame(payload);
     if (!frame) return std::nullopt;
-    // What this block must decode to for downstream offsets to line up —
-    // the zero-fill size when a damaged block is skipped in tolerant mode.
-    const std::uint64_t expected = std::min<std::uint64_t>(
-        header_->block_size, header_->original_size > decoded_
-                                 ? header_->original_size - decoded_
-                                 : 0);
-    Bytes block;
-    bool ok = frame->flag <= 1;
-    if (ok) {
-      ECOMP_SLIDING_TIMER("selective.decode_block_us");
-      try {
-        block = frame->flag == 1
-                    ? DeflateCodec().decompress(frame->payload)
-                    : Bytes(frame->payload.begin(), frame->payload.end());
-        if (block.size() != expected)
-          throw Error("selective: block decodes to the wrong size");
-      } catch (const Error&) {
-        if (!tolerant_) throw;
-        ok = false;
-      }
-    }
-    // A damaged header must not turn a lost block into a giant
-    // zero-fill: the bytes fed so far bound what it could have held.
-    if (!ok && (decoded_ + expected) / kMaxExpansion > fed_)
-      throw Error("selective: lost block larger than the stream can hold");
-    ++recovery_.blocks_total;
-    if (ok) {
-      ++recovery_.blocks_recovered;
-      recovery_.bytes_recovered += block.size();
-    } else {
-      block.assign(static_cast<std::size_t>(expected), 0);
-      ++recovery_.blocks_lost;
-      recovery_.bytes_lost += expected;
-    }
-    ++blocks_done_;
-    decoded_ += block.size();
-    running_crc_.update(block);
-    infos_.push_back({block.size(), frame->payload.size(), frame->flag == 1});
-    return block;
+    return settle(*frame, decode_block(frame->flag, payload, frame->expected,
+                                       tolerant_));
   } catch (...) {
     failed_ = true;
     throw;
   }
+}
+
+std::optional<Bytes> SelectiveStreamDecoder::poll_pool(bool wait) {
+  Pool& p = *pool_;
+  // Up to two blocks per worker in flight, as the encoder keeps.
+  const std::size_t window = 2 * static_cast<std::size_t>(p.pool.size());
+  bool broken = false;
+  try {
+    ByteSpan payload;
+    std::optional<Frame> frame;
+    while (p.window.size() < window && (frame = next_frame(payload))) {
+      // The block owns a copy of its payload: feed() compacts buf_
+      // underneath it. A raw block is just that copy, not worth a task;
+      // it decodes when its turn comes.
+      auto decode = [f = *frame, tolerant = tolerant_,
+                     own = Bytes(payload.begin(), payload.end())] {
+        return decode_block(f.flag, own, f.expected, tolerant);
+      };
+      p.window.emplace_back(*frame, frame->flag == 1
+                                        ? p.pool.async(std::move(decode))
+                                        : std::async(std::launch::deferred,
+                                                     std::move(decode)));
+    }
+  } catch (const Error&) {
+    // Threads 1 throws this once the blocks before the frame are out;
+    // until then every poll() reads the broken frame again.
+    if (p.window.empty()) throw;
+    broken = true;
+  }
+  if (p.window.empty()) return std::nullopt;
+  // Hand back for more input only while it could be framed (room in
+  // the window, frames still to come, framing intact) and the caller
+  // has some; otherwise wait for the next block.
+  if (!wait && !broken && p.window.size() < window &&
+      !ends_stream(framed_, framed_out_) &&
+      p.window.front().second.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::timeout)
+    return std::nullopt;
+  auto [frame, outcome] = std::move(p.window.front());
+  p.window.pop_front();
+  try {
+    return settle(frame, outcome.get());
+  } catch (...) {
+    fed_ = frame.fed;  // where threads 1 stopped
+    throw;
+  }
+}
+
+Bytes SelectiveStreamDecoder::settle(const Frame& frame,
+                                     std::optional<Bytes> block) {
+  // A damaged header must not turn a lost block into a giant
+  // zero-fill: the bytes fed so far bound what it could have held.
+  if (!block && (decoded_ + frame.expected) / kMaxExpansion > frame.fed)
+    throw Error("selective: lost block larger than the stream can hold");
+  ++recovery_.blocks_total;
+  if (block) {
+    ++recovery_.blocks_recovered;
+    recovery_.bytes_recovered += block->size();
+  } else {
+    block.emplace(static_cast<std::size_t>(frame.expected), 0);
+    ++recovery_.blocks_lost;
+    recovery_.bytes_lost += frame.expected;
+  }
+  ++blocks_done_;
+  decoded_ += block->size();
+  running_crc_.update(*block);
+  infos_.push_back({block->size(), frame.payload_size, frame.flag == 1});
+  return std::move(*block);
 }
 
 void SelectiveStreamDecoder::verify() {

@@ -72,10 +72,9 @@ SelectiveResult selective_compress(ByteSpan input,
                                    std::size_t block_size = kDefaultBlockSize,
                                    int level = 9, unsigned threads = 1);
 
-/// Full decode with CRC verification. With `threads` > 1 the
-/// independently decodable blocks are inflated concurrently, each into
-/// its own slice of the output (offsets are known up front from the
-/// block table), then the whole buffer is CRC-checked as usual.
+/// Full decode with CRC verification: a strict SelectiveStreamDecoder
+/// with `threads` (below) fed the container in slices, so with
+/// `threads` > 1 the independently decodable blocks inflate on a pool.
 Bytes selective_decompress(ByteSpan container, unsigned threads = 1);
 
 /// Parse the container's block table without decoding payloads.
@@ -125,19 +124,34 @@ struct SelectiveHeader {
 
 /// Push-based streaming decoder — the receiving half of the paper's
 /// interleaving scheme (§4.1), and the one decoder every stream of the
-/// container goes through (downloads, uploads, salvage). feed()
-/// appends received bytes; poll() returns the next fully received,
-/// decoded block, or nullopt until more bytes arrive. Its state carries
-/// across sources, so a resumed transfer keeps decoding where the
-/// broken one stopped.
+/// container goes through (downloads, uploads, decompress, salvage).
+/// feed() appends received bytes; poll() returns the next fully
+/// received, decoded block, or nullopt until more bytes arrive. Its
+/// state carries across sources, so a resumed transfer keeps decoding
+/// where the broken one stopped.
 class SelectiveStreamDecoder {
  public:
+  /// With `threads` >= 2 the compressed blocks that have arrived
+  /// inflate on a pool of min(threads, n_blocks) workers while later
+  /// blocks arrive; poll() still hands every block out in order, and
+  /// every outcome (blocks, errors, block_infos(), recovery(),
+  /// bytes_fed()) is the one threads 1 gives, where poll() decodes
+  /// inline.
+  explicit SelectiveStreamDecoder(unsigned threads = 1);
+  ~SelectiveStreamDecoder();
+  SelectiveStreamDecoder(SelectiveStreamDecoder&&) noexcept;
+  SelectiveStreamDecoder& operator=(SelectiveStreamDecoder&&) noexcept;
+
   void feed(ByteSpan chunk);
 
   /// Decode the next complete block if its payload has fully arrived.
   /// Throws if it fails to decode or decodes to any size but the one
   /// the header implies (tolerant mode: see set_tolerant()).
-  std::optional<Bytes> poll();
+  /// With a pool, poll() frames every block that has arrived and
+  /// returns nullopt while the next one is still decoding — unless
+  /// `wait` (the caller has no more input) or no more input could help
+  /// (every frame is in, or the framing broke); then it waits for it.
+  std::optional<Bytes> poll(bool wait = false);
 
   /// Tolerant mode (salvage's rules): a block whose payload fails to
   /// decode (bad flag, inflate error, member-CRC mismatch, wrong size)
@@ -155,14 +169,18 @@ class SelectiveStreamDecoder {
 
   /// True once every block of the container has been decoded (tolerant
   /// mode: or once original_size bytes have).
-  bool finished() const;
+  bool finished() const { return ends_stream(blocks_done_, decoded_); }
 
   /// True once a poll() or verify() threw: the stream is poisoned, and
   /// only a fresh decoder can start it over.
   bool failed() const { return failed_; }
 
   /// Container bytes fed so far — where a resumed transfer picks up.
+  /// Once failed(), the bytes fed when the failing block had arrived.
   std::uint64_t bytes_fed() const { return fed_; }
+
+  /// The container header, once it has arrived.
+  const std::optional<SelectiveHeader>& header() const { return header_; }
 
   /// Verify the container CRC over everything decoded so far; call once
   /// finished(). Throws on mismatch or if not finished (tolerant mode
@@ -180,10 +198,29 @@ class SelectiveStreamDecoder {
   const std::vector<BlockInfo>& block_infos() const { return infos_; }
 
  private:
+  /// A block whose frame has arrived, with what it is checked against;
+  /// fixed when the frame is read, so at every thread count.
+  struct Frame {
+    std::uint8_t flag = 0;
+    std::size_t payload_size = 0;
+    std::uint64_t expected = 0;  ///< the size it must decode to
+    std::uint64_t fed = 0;       ///< bytes fed by then
+  };
+  struct Pool;  // threads >= 2: the workers + the framed blocks in order
+
+  /// True once `blocks` blocks that decode to `bytes` end the stream.
+  bool ends_stream(std::uint64_t blocks, std::uint64_t bytes) const;
+  std::optional<Frame> next_frame(ByteSpan& payload);
+  std::optional<Bytes> poll_pool(bool wait);
+  Bytes settle(const Frame& frame, std::optional<Bytes> block);
+
+  unsigned threads_;
   Bytes buf_;
   std::size_t pos_ = 0;  // consumed prefix of buf_
   std::uint64_t fed_ = 0;
   std::optional<SelectiveHeader> header_;
+  std::uint64_t framed_ = 0;      // blocks whose frame has been read
+  std::uint64_t framed_out_ = 0;  // bytes those blocks decode to
   std::uint64_t blocks_done_ = 0;
   std::uint64_t decoded_ = 0;
   Crc32 running_crc_;
@@ -191,6 +228,7 @@ class SelectiveStreamDecoder {
   bool tolerant_ = false;
   bool failed_ = false;
   RecoveryReport recovery_;
+  std::unique_ptr<Pool> pool_;
 };
 
 /// Incremental producer of a selective container: emits the header,

@@ -1,19 +1,12 @@
 #include "core/interleave.h"
 
-#include <exception>
-#include <thread>
-
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "par/spsc_queue.h"
-
 namespace ecomp::core {
 
 Bytes InterleavedDownloader::run(const ChunkSource& read_chunk,
                                  const BlockSink& on_block,
                                  std::vector<compress::BlockInfo>* infos)
     const {
-  SelectiveStreamDecoder dec;
+  SelectiveStreamDecoder dec(opt_.threads);
   dec.set_tolerant(opt_.tolerant);
   Bytes out;
   feed(dec, read_chunk, out, on_block);
@@ -26,70 +19,31 @@ void InterleavedDownloader::feed(SelectiveStreamDecoder& dec,
                                  const ChunkSource& read_chunk, Bytes& out,
                                  const BlockSink& on_block) const {
   if (!read_chunk) throw Error("InterleavedDownloader: null source");
-  // Decode every block that is already complete (this is the work the
-  // pipelined mode overlaps with the next receive for real); true once
-  // the container is.
-  const auto drain = [&] {
-    while (auto block = dec.poll()) {
+  // Hand out every block that is ready — with `wait`, also those still
+  // decoding; true once the container is complete.
+  const auto drain = [&](bool wait) {
+    while (auto block = dec.poll(wait)) {
       if (on_block) on_block(*block);
       out.insert(out.end(), block->begin(), block->end());
     }
     return dec.finished();
   };
-
-  if (opt_.threads < 2) {
-    Bytes chunk(opt_.chunk_bytes);
-    while (!drain()) {
+  Bytes chunk(opt_.chunk_bytes);
+  try {
+    while (!drain(false)) {
       const std::size_t n = read_chunk(chunk.data(), chunk.size());
-      if (n == 0) return;
+      if (n == 0) break;
       if (n > chunk.size())
         throw Error("InterleavedDownloader: source overran buffer");
       dec.feed(ByteSpan(chunk.data(), n));
     }
-    return;
-  }
-
-  ECOMP_TRACE_SPAN("interleave.pipelined", "core");
-  par::SpscQueue<Bytes> queue(opt_.queue_chunks);
-  std::exception_ptr feed_error;  // read only after join()
-
-  // Feed thread: the "network half" of §4.1 — it keeps receiving while
-  // the calling thread decodes. It stops on EOF, on a source error, or
-  // when the consumer closes the queue after a decode failure. Note it
-  // may read a bounded distance ahead of the decoder, so the source
-  // must return EOF (0) once the stream ends rather than block forever.
-  std::thread feeder([&] {
-    try {
-      while (true) {
-        Bytes chunk(opt_.chunk_bytes);
-        const std::size_t n = read_chunk(chunk.data(), chunk.size());
-        if (n == 0) break;
-        if (n > chunk.size())
-          throw Error("InterleavedDownloader: source overran buffer");
-        chunk.resize(n);
-        ECOMP_COUNT("interleave.chunks_fed");
-        if (!queue.push(std::move(chunk))) return;  // consumer bailed
-      }
-    } catch (...) {
-      feed_error = std::current_exception();
-    }
-    queue.close();
-  });
-
-  try {
-    while (!drain()) {
-      auto chunk = queue.pop();
-      if (!chunk) break;  // EOF (or feeder failed; sorted out below)
-      dec.feed(*chunk);
-    }
   } catch (...) {
-    queue.close();
-    feeder.join();
+    // A dead source still delivers what arrived before it; a decode
+    // error among those blocks surfaces instead, as it would have first.
+    if (!dec.failed()) drain(true);
     throw;
   }
-  queue.close();
-  feeder.join();
-  if (feed_error) std::rethrow_exception(feed_error);
+  drain(true);
 }
 
 std::vector<sim::BlockTransfer> to_block_transfers(

@@ -19,18 +19,11 @@ using compress::SelectiveStreamDecoder;
 /// Pulls chunks from `read_chunk` (returning the number of bytes it
 /// produced; 0 = end of stream), feeding a SelectiveStreamDecoder and
 /// collecting decoded blocks. run() returns the reassembled original
-/// data, CRC-verified.
-///
-/// Two execution modes:
-///   * serial (threads <= 1): one loop alternating receive and decode —
-///     the original simulated overlap.
-///   * pipelined (threads >= 2): a dedicated feed thread pulls from
-///     `read_chunk` into a bounded SPSC chunk queue while the calling
-///     thread decodes — the paper's §4.1 receive/decompress overlap
-///     physically realized. `read_chunk` runs on the feed thread;
-///     `on_block` stays on the calling thread. Results (bytes, block
-///     infos, CRC verification, recovery report) are identical to the
-///     serial mode's.
+/// data, CRC-verified. `read_chunk` and `on_block` both run on the
+/// calling thread; with a decoder of threads >= 2 the blocks inflate on
+/// its pool while the next chunks are read (the paper's §4.1 overlap),
+/// and the results (bytes, block infos, errors, recovery report) are
+/// threads 1's.
 class InterleavedDownloader {
  public:
   using ChunkSource =
@@ -39,14 +32,12 @@ class InterleavedDownloader {
 
   struct Options {
     std::size_t chunk_bytes = 16 * 1024;
-    /// >= 2 enables the feed-thread/decode-worker pipeline.
+    /// The decoder run() builds: >= 2 inflates blocks on a pool.
     unsigned threads = 1;
     /// Tolerant decode: damaged blocks zero-fill instead of throwing,
     /// a truncated stream returns what arrived; recovery() reports the
     /// damage (mirrors SelectiveStreamDecoder::set_tolerant).
     bool tolerant = false;
-    /// Bounded SPSC queue depth, in chunks (pipelined mode).
-    std::size_t queue_chunks = 8;
   };
 
   explicit InterleavedDownloader(std::size_t chunk_bytes = 16 * 1024) {
@@ -66,6 +57,8 @@ class InterleavedDownloader {
   /// the source ends or the container is complete, appending each
   /// decoded block to `out`. The caller owns the decoder, so one decoder
   /// can span several sources (a resumed transfer) before finish().
+  /// When the source ends or throws, every block that had arrived is
+  /// still handed out first, as threads 1 would have.
   void feed(SelectiveStreamDecoder& dec, const ChunkSource& read_chunk,
             Bytes& out, const BlockSink& on_block = nullptr) const;
 

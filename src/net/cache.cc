@@ -18,10 +18,10 @@ ContainerCache::Lookup ContainerCache::acquire(const std::string& key) {
     } else {
       auto fresh = std::make_shared<Flight>();
       fresh->future = fresh->promise.get_future().share();
-      flights_.emplace(key, std::move(fresh));
+      flights_.emplace(key, fresh);
       ++stats_.misses;
-      return {nullptr,
-              std::unique_ptr<Builder>(new Builder(this, key))};
+      return {nullptr, std::unique_ptr<Builder>(
+                           new Builder(this, key, std::move(fresh)))};
     }
   }
   // Join the in-flight build outside the lock. A null result means the
@@ -50,22 +50,22 @@ void ContainerCache::insert_locked(const std::string& key,
 }
 
 void ContainerCache::finish_flight(const std::string& key,
+                                   const std::shared_ptr<Flight>& flight,
                                    std::shared_ptr<const Bytes> data) {
-  std::shared_ptr<Flight> flight;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // An orphaned flight (invalidate_prefix dropped it) is no longer
+    // the key's: its bytes may predate the change, so they stay out.
     const auto it = flights_.find(key);
-    if (it != flights_.end()) {
-      flight = it->second;
-      flights_.erase(it);
-    }
+    const bool current = it != flights_.end() && it->second == flight;
+    if (current) flights_.erase(it);
     if (data) {
-      insert_locked(key, data);
+      if (current) insert_locked(key, data);
       ++stats_.builds;
     }
   }
   // Fulfil outside the lock: waiters wake straight into future.get().
-  if (flight) flight->promise.set_value(std::move(data));
+  flight->promise.set_value(std::move(data));
 }
 
 void ContainerCache::put(const std::string& key, Bytes data) {
@@ -83,6 +83,10 @@ void ContainerCache::invalidate_prefix(const std::string& prefix) {
     it = entries_.erase(it);
   }
   stats_.entries = entries_.size();
+  for (auto it = flights_.lower_bound(prefix);
+       it != flights_.end() &&
+       it->first.compare(0, prefix.size(), prefix) == 0;)
+    it = flights_.erase(it);
 }
 
 ContainerCache::Stats ContainerCache::stats() const {
@@ -91,12 +95,12 @@ ContainerCache::Stats ContainerCache::stats() const {
 }
 
 ContainerCache::Builder::~Builder() {
-  if (!published_) cache_->finish_flight(key_, nullptr);
+  if (!published_) cache_->finish_flight(key_, flight_, nullptr);
 }
 
 std::shared_ptr<const Bytes> ContainerCache::Builder::publish(Bytes data) {
   auto shared = std::make_shared<const Bytes>(std::move(data));
-  cache_->finish_flight(key_, shared);
+  cache_->finish_flight(key_, flight_, shared);
   published_ = true;
   return shared;
 }

@@ -14,7 +14,9 @@
 //                         lk.builder->publish(bytes) on success. If the
 //                         Builder dies unpublished (request failed),
 //                         waiters are released and retry acquire() —
-//                         the next one becomes the builder.
+//                         the next one becomes the builder. Build from
+//                         the source as read after acquire(): a change
+//                         invalidated after that read orphans the flight.
 //
 // Entries are immutable once published (shared_ptr<const Bytes>), so
 // readers never copy under the lock and invalidation is O(variants).
@@ -34,6 +36,8 @@
 namespace ecomp::net {
 
 class ContainerCache {
+  struct Flight;
+
  public:
   /// Capacity in payload bytes; entries are evicted LRU-first once the
   /// total exceeds it. 0 disables caching entirely (every acquire is a
@@ -55,10 +59,11 @@ class ContainerCache {
   Lookup acquire(const std::string& key);
 
   /// Drop every key beginning with `prefix` (a PUT invalidating all
-  /// cached variants of one name). In-flight builds are left to finish;
-  /// their publish lands in the cache and is simply stale-free because
-  /// publish re-checks nothing — callers must invalidate after the
-  /// store mutation, which the proxy does under its request ordering.
+  /// cached variants of one name), and orphan every such in-flight
+  /// build: it may have read the old bytes, so it still wakes the
+  /// waiters that joined it but never lands in the cache, and the next
+  /// acquire() builds afresh. Callers invalidate after the store
+  /// mutation, which the proxy does under its request ordering.
   void invalidate_prefix(const std::string& prefix);
 
   /// Insert an already-built payload (precompress startup pass).
@@ -87,10 +92,12 @@ class ContainerCache {
 
    private:
     friend class ContainerCache;
-    Builder(ContainerCache* cache, std::string key)
-        : cache_(cache), key_(std::move(key)) {}
+    Builder(ContainerCache* cache, std::string key,
+            std::shared_ptr<Flight> flight)
+        : cache_(cache), key_(std::move(key)), flight_(std::move(flight)) {}
     ContainerCache* cache_;
     std::string key_;
+    std::shared_ptr<Flight> flight_;  // this build's, even once orphaned
     bool published_ = false;
   };
 
@@ -104,6 +111,7 @@ class ContainerCache {
   void insert_locked(const std::string& key,
                      std::shared_ptr<const Bytes> data);
   void finish_flight(const std::string& key,
+                     const std::shared_ptr<Flight>& flight,
                      std::shared_ptr<const Bytes> data);
 
   mutable std::mutex mu_;

@@ -836,14 +836,13 @@ void ProxyServer::handle_request(Socket& client,
     fail("ERR no such file: " + name);
     return;
   }
-  const std::shared_ptr<const Bytes> original = store_.get(name);
+  std::shared_ptr<const Bytes> original = store_.get(name);
   info->raw_bytes = original->size();
-  std::int64_t blocks = -1;
-  if (selective)
-    blocks = static_cast<std::int64_t>(
-        options_.block_size ? (original->size() + options_.block_size - 1) /
-                                  options_.block_size
-                            : 0);
+  const auto blocks = [&]() -> std::int64_t {
+    if (!selective || !options_.block_size) return selective ? 0 : -1;
+    return static_cast<std::int64_t>(
+        (original->size() + options_.block_size - 1) / options_.block_size);
+  };
 
   // The degradation ladder (chosen at admission time): under load a
   // compressed GET is served at deflate level 1, then — one rung lower
@@ -890,6 +889,11 @@ void ProxyServer::handle_request(Socket& client,
         cache_key(name, selective ? sel_variant : full_variant));
     payload = std::move(lk.data);
     if (payload || !lk.builder) continue;  // a hit, or an abandoned flight
+    // Build from the file as it is now that this request owns the
+    // flight: a PUT after this read orphans the flight, so a stale
+    // build never reaches the cache.
+    original = store_.get(name);
+    info->raw_bytes = original->size();
     event({.stage = "compress"});
     if (selective && offset == 0) {
       // This request owns the flight: overlap each block's encode with
@@ -913,7 +917,7 @@ void ProxyServer::handle_request(Socket& client,
       ledger({.stage = "stream",
               .bytes_wire = static_cast<std::int64_t>(info->wire_bytes),
               .bytes_raw = static_cast<std::int64_t>(info->raw_bytes),
-              .blocks = blocks});
+              .blocks = blocks()});
       return;
     }
     payload = lk.builder->publish(
@@ -954,7 +958,7 @@ void ProxyServer::handle_request(Socket& client,
   ledger({.stage = "stream",
           .bytes_wire = static_cast<std::int64_t>(remaining),
           .bytes_raw = static_cast<std::int64_t>(info->raw_bytes),
-          .blocks = blocks});
+          .blocks = blocks()});
 }
 
 Bytes download(std::uint16_t port, const std::string& name,
@@ -1002,7 +1006,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
   // (selective). Salvage closes that decoder out when retries run out.
   Bytes partial;
   std::uint64_t partial_total = 0;
-  core::SelectiveStreamDecoder dec;
+  core::SelectiveStreamDecoder dec(policy.threads);
   std::string last_error = "no attempts made";
   // A BUSY reply's retry-after raises the floor of the next backoff
   // wait — the server said when it wants to hear from us again.
@@ -1012,7 +1016,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
     ++out.attempts;
     if (!policy.resume) {
       partial.clear();
-      dec = {};
+      dec = core::SelectiveStreamDecoder(policy.threads);
       out.data.clear();
     }
     const std::size_t offset = selective ? dec.bytes_fed() : partial.size();
@@ -1069,11 +1073,9 @@ DownloadOutcome download_resilient(std::uint16_t port,
       if (selective) {
         if (status.rfind("OK stream", 0) != 0)
           throw Error("download: " + status);
-        // Decode while receiving, with threads >= 2 on a feed thread
-        // alongside the decode (§4.1).
-        core::InterleavedDownloader::Options opt;
-        opt.threads = policy.threads;
-        core::InterleavedDownloader(opt).feed(
+        // Decode while receiving (§4.1); with threads >= 2 the blocks
+        // inflate on the decoder's pool while later ones arrive.
+        core::InterleavedDownloader().feed(
             dec,
             [&](std::uint8_t* dst, std::size_t max) {
               const std::size_t n = s.recv_some(dst, max);
@@ -1143,7 +1145,7 @@ DownloadOutcome download_resilient(std::uint16_t port,
       if (dec.failed()) {
         // A block or the CRC failed to decode: the stream is poisoned,
         // so no byte of it is trustworthy — start over from offset 0.
-        dec = {};
+        dec = core::SelectiveStreamDecoder(policy.threads);
         out.data.clear();
       }
       last_error = e.what();

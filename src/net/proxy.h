@@ -339,8 +339,9 @@ struct DownloadStats {
 /// deadline, i.e. download_resilient with max_retries = 0, timeout_ms =
 /// 0, resume = false and `threads`. mode "selective" decodes each block
 /// as it completes; "full"/"raw" buffer, CRC-check, then decode.
-/// `threads` >= 2 runs the selective receive on a feed thread beside
-/// the decode — the reconstructed bytes are identical either way.
+/// `threads` >= 2 inflates the compressed selective blocks that have
+/// arrived on a pool while later ones arrive — the reconstructed bytes
+/// are identical either way.
 Bytes download(std::uint16_t port, const std::string& name,
                const std::string& mode, DownloadStats* stats = nullptr,
                unsigned threads = 1);
@@ -366,8 +367,9 @@ struct TransferPolicy {
   /// Selective mode only: when retries run out mid-container, salvage
   /// whatever blocks arrived intact instead of throwing.
   bool salvage = false;
-  /// Selective mode only: >= 2 runs the socket reads on a feed thread
-  /// alongside the decode (§4.1).
+  /// Selective mode only: >= 2 inflates the compressed blocks that
+  /// have arrived on a pool of that many workers while the socket keeps
+  /// receiving (§4.1); the receive stays on the calling thread.
   unsigned threads = 1;
 };
 

@@ -56,11 +56,6 @@ bool ThreadPool::try_submit(std::function<void()> fn) {
   return true;
 }
 
-std::size_t ThreadPool::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::worker() {
   while (true) {
     std::function<void()> task;

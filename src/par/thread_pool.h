@@ -1,9 +1,10 @@
 // ecomp::par — a small fixed-size thread pool with a bounded task
-// queue, the execution engine behind the parallel block pipeline:
-// selective_compress / SelectiveStreamEncoder compress blocks on it
-// (with an ordered-completion reorder buffer, so the container bytes
-// are identical to the serial path at any thread count) and
-// selective_decompress decodes blocks on it.
+// queue, the execution engine behind the parallel block pipeline in
+// both directions, each an ordered window of block futures:
+// SelectiveStreamEncoder compresses blocks on it (so the container
+// bytes are identical to the serial path at any thread count), and
+// SelectiveStreamDecoder inflates the blocks that have arrived on it
+// (selective_decompress, and downloads at threads >= 2).
 //
 // Design notes:
 //   * The queue is bounded (default 4x the worker count): submit()
@@ -60,9 +61,6 @@ class ThreadPool {
   /// admission-control path in net::ProxyServer uses this to reply
   /// BUSY instead of wedging its accept thread in submit().
   bool try_submit(std::function<void()> fn);
-
-  /// Tasks currently queued (not yet picked up by a worker).
-  std::size_t depth() const;
 
   /// submit() wrapped in a packaged task: the returned future yields
   /// the callable's result or rethrows its exception.

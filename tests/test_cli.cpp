@@ -54,6 +54,26 @@ TEST_F(CliFixture, CompressDecompressRoundTripPerCodec) {
   }
 }
 
+TEST_F(CliFixture, LevelReachesDeflateAndBwt) {
+  // -l is deflate's effort and BWT's block size (in 100 KB, as bzip2's
+  // -1..-9): levels 1 and 9 write different containers, both lossless.
+  for (const std::string codec : {"deflate", "bwt"}) {
+    Bytes packed[2];
+    for (const int i : {0, 1}) {
+      const std::string level = i ? "9" : "1";
+      const std::string path = (dir_ / (codec + level + ".ec")).string();
+      const std::string restored = (dir_ / (codec + level + ".out")).string();
+      ASSERT_EQ(run_cli({"compress", "-c", codec, "-l", level, in_path_, path}),
+                0)
+          << err_.str();
+      ASSERT_EQ(run_cli({"decompress", path, restored}), 0) << err_.str();
+      EXPECT_EQ(read_file(restored), input_) << codec << " -l " << level;
+      packed[i] = read_file(path);
+    }
+    EXPECT_NE(packed[0], packed[1]) << codec;
+  }
+}
+
 TEST_F(CliFixture, DecompressSniffsMagic) {
   // Same decompress invocation handles every container type (previous
   // test already proves it); here check a wrong file is rejected.

@@ -219,7 +219,7 @@ TEST(ResumeWork, EveryBlockIsDecodedOnceAcrossResumes) {
 #else
   // Two connections cut at 60 KB: the resumes must continue the decoder
   // rather than decode the accumulated prefix again from byte 0 — with
-  // the receive on the calling thread and on a feed thread alike.
+  // the blocks decoded inline and on the decoder's pool alike.
   constexpr std::size_t kBlock = 16 * 1024;
   const Bytes data = workload::generate_kind(FileKind::Xml, 1000000, 7, 0.4);
   FileStore store;
@@ -231,7 +231,7 @@ TEST(ResumeWork, EveryBlockIsDecodedOnceAcrossResumes) {
   spec.at_byte = 60000;
   auto& decodes = obs::Registry::global().sliding("selective.decode_block_us");
   const std::uint64_t n_blocks = (data.size() + kBlock - 1) / kBlock;
-  for (const unsigned threads : {1u, 2u}) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(threads);
     server.set_fault_injector(std::make_shared<FaultInjector>(spec, 2));
     auto tp = fast_policy(4);
@@ -744,6 +744,63 @@ TEST(StreamDecoder, MisSizedBlockFailsWhereItOccurs) {
   ASSERT_EQ(sr.data.size(), data.size());
   EXPECT_TRUE(std::equal(sr.data.begin() + kDefaultBlockSize, sr.data.end(),
                          data.begin() + kDefaultBlockSize));
+}
+
+TEST(StreamDecoder, BlockErrorSurfacesAtItsBlockAtEveryThreadCount) {
+  // A corrupt compressed payload, and separately a bad flag, at block
+  // k: feed() throws with `out` holding exactly blocks 0..k-1, and the
+  // decoder left as threads 1 leaves it, though at threads 4 the
+  // blocks after k were already inflating on the pool.
+  constexpr std::size_t kBlock = 16 * 1024;
+  constexpr std::size_t k = 5;
+  const Bytes data = workload::generate_kind(workload::FileKind::Xml, 400000,
+                                             21, 0.4);
+  const auto res = selective_compress(data, SelectivePolicy::always(), kBlock);
+  ASSERT_GT(res.blocks.size(), k + 4);
+  // Block k's frame starts after the header and the frames before it.
+  const auto frame_bytes = [](const BlockInfo& b) {
+    Bytes varint;
+    put_varint(varint, b.payload_size);
+    return 1 + varint.size() + b.payload_size;
+  };
+  std::size_t frame_k = res.container.size();
+  for (std::size_t b = k; b < res.blocks.size(); ++b)
+    frame_k -= frame_bytes(res.blocks[b]);
+  ASSERT_TRUE(res.blocks[k].compressed);
+
+  Bytes bad_payload = res.container;
+  bad_payload[frame_k + frame_bytes(res.blocks[k]) / 2] ^= 0x5a;
+  Bytes bad_flag = res.container;
+  bad_flag[frame_k] = 7;
+  for (const Bytes* damaged : {&bad_payload, &bad_flag}) {
+    SCOPED_TRACE(damaged == &bad_flag ? "bad flag" : "bad payload");
+    const auto run = [&](unsigned threads) {
+      SelectiveStreamDecoder dec(threads);
+      Bytes out;
+      std::size_t off = 0;
+      EXPECT_THROW(core::InterleavedDownloader(4096).feed(
+                       dec,
+                       [&](std::uint8_t* dst, std::size_t max) {
+                         const std::size_t n =
+                             std::min(max, damaged->size() - off);
+                         std::copy_n(damaged->data() + off, n, dst);
+                         off += n;
+                         return n;
+                       },
+                       out),
+                   Error)
+          << threads;
+      EXPECT_TRUE(dec.failed());
+      return std::make_tuple(out, dec.bytes_fed(), dec.block_infos().size(),
+                             dec.recovery().blocks_recovered);
+    };
+    const auto serial = run(1);
+    EXPECT_EQ(std::get<0>(serial),
+              Bytes(data.begin(),
+                    data.begin() + static_cast<std::ptrdiff_t>(k * kBlock)));
+    EXPECT_EQ(std::get<2>(serial), k);
+    EXPECT_EQ(run(4), serial);
+  }
 }
 
 TEST(TolerantDecoder, ZeroFillsBadBlockAndRecordsRecovery) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "compress/selective.h"
 #include "core/planner.h"
 #include "net/fault.h"
 #include "net/proxy.h"
@@ -248,6 +249,43 @@ TEST(ProxyLoad, ResumingDownloadsAreNeverDegraded) {
   EXPECT_GT(plain.stats.bytes_on_wire, ranged.stats.bytes_on_wire);
   held.close();
   server->stop();
+}
+
+// --- a PUT landing during an on-demand build --------------------------
+
+TEST(ProxyLoad, PutDuringBuildNeverCachesTheOldContainer) {
+  // A GET that began building before a PUT must not leave the old
+  // container cached after `OK stored`: a GET started while that build
+  // may still run and a GET after it has finished both get the new
+  // bytes, in full and in selective mode.
+  const Bytes old_data = test_data(1500000);
+  const Bytes new_data = workload::generate_kind(FileKind::Log, 5000, 3, 0.0);
+  FileStore store;
+  store.put("full.xml", old_data);
+  store.put("selective.xml", old_data);
+  ProxyOptions opt;
+  opt.workers = 4;
+  ProxyServer server(std::move(store), compress::SelectivePolicy::always(),
+                     opt);
+  for (const std::string mode : {"full", "selective"}) {
+    SCOPED_TRACE(mode);
+    const std::string name = mode + ".xml";
+    const std::uint64_t misses = server.cache_stats().misses;
+    Bytes first;
+    std::thread building(
+        [&] { first = download(server.port(), name, mode); });
+    for (int i = 0; i < 5000 && server.cache_stats().misses == misses; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.cache_stats().misses, misses + 1);
+    upload(server.port(), name, new_data,
+           compress::SelectivePolicy::always());
+    const Bytes during = download(server.port(), name, mode);
+    building.join();
+    // The first GET began before the PUT: either version is its own.
+    EXPECT_TRUE(first == old_data || first == new_data);
+    EXPECT_EQ(during, new_data);
+    EXPECT_EQ(download(server.port(), name, mode), new_data);
+  }
 }
 
 // --- graceful drain ----------------------------------------------------

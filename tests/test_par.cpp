@@ -1,9 +1,11 @@
-// The parallel block pipeline: thread pool + SPSC queue primitives, the
-// determinism guarantee of the parallel selective codec (byte-identical
-// containers at any thread count), the threaded interleaved downloader
-// against its serial twin, and the LZ77 hot-path copy loop.
+// The parallel block pipeline: the thread pool, the determinism
+// guarantee of the parallel selective codec (byte-identical containers
+// at any thread count, and one decoder that gives threads 1's bytes at
+// any thread count), the threaded interleaved downloader against its
+// serial twin, and the LZ77 hot-path copy loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -12,7 +14,6 @@
 #include "compress/selective.h"
 #include "core/interleave.h"
 #include "net/proxy.h"
-#include "par/spsc_queue.h"
 #include "par/thread_pool.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -57,35 +58,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(SpscQueue, PreservesOrder) {
-  par::SpscQueue<int> q(4);
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) ASSERT_TRUE(q.push(int(i)));
-    q.close();
-  });
-  int expected = 0;
-  while (auto v = q.pop()) EXPECT_EQ(*v, expected++);
-  EXPECT_EQ(expected, 1000);
-  producer.join();
-}
-
-TEST(SpscQueue, CloseUnblocksProducerAndDrainsConsumer) {
-  par::SpscQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread producer([&] {
-    // Queue is full; this push blocks until close(), then reports it.
-    EXPECT_FALSE(q.push(2));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  producer.join();
-  // The element accepted before close() is still delivered.
-  auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
 // --------------------------------------------- parallel selective codec
 
 Bytes corpus_bytes(workload::FileKind kind, std::size_t size,
@@ -128,22 +100,49 @@ TEST(ParallelSelective, ContainerByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelSelective, DecompressMatchesAtEveryThreadCount) {
+  // Containers of compressed blocks, of raw blocks, and of both.
+  Bytes mixed = corpus_bytes(workload::FileKind::Xml, 150000, 17);
+  const Bytes noise = corpus_bytes(workload::FileKind::Media, 100000, 18);
+  mixed.insert(mixed.end(), noise.begin(), noise.end());
+  compress::SelectivePolicy shrinks_a_tenth;
+  shrinks_a_tenth.min_block_bytes = 1000;
+  shrinks_a_tenth.energy_test = [](std::size_t raw, std::size_t comp) {
+    return comp * 10 < raw * 9;
+  };
   const Bytes input = corpus_bytes(workload::FileKind::TarMixed, 300000, 4);
-  const auto res = compress::selective_compress(
-      input, compress::SelectivePolicy::always(), 16 * 1024);
-  for (const unsigned threads : {1u, 2u, 4u, 8u})
-    EXPECT_EQ(compress::selective_decompress(res.container, threads), input)
-        << threads;
+  const std::vector<std::pair<Bytes, Bytes>> cases = {
+      {input, compress::selective_compress(
+                  input, compress::SelectivePolicy::always(), 16 * 1024)
+                  .container},
+      {mixed, compress::selective_compress(
+                  mixed, compress::SelectivePolicy::never(), 16 * 1024)
+                  .container},
+      {mixed,
+       compress::selective_compress(mixed, shrinks_a_tenth, 16 * 1024)
+           .container}};
+  const auto infos = compress::selective_block_info(cases[2].second);
+  ASSERT_TRUE(std::any_of(infos.begin(), infos.end(),
+                          [](const auto& b) { return b.compressed; }));
+  ASSERT_TRUE(std::any_of(infos.begin(), infos.end(),
+                          [](const auto& b) { return !b.compressed; }));
+  for (std::size_t c = 0; c < cases.size(); ++c)
+    for (const unsigned threads : {1u, 2u, 4u, 8u})
+      EXPECT_EQ(compress::selective_decompress(cases[c].second, threads),
+                cases[c].first)
+          << "case " << c << " threads " << threads;
 }
 
 TEST(ParallelSelective, DecompressEdgeCases) {
-  // Empty input and a single sub-block input exercise the workers <= 1
-  // fallback inside the parallel entry points.
+  // An empty container and a one-block container: the pool never
+  // engages (min(threads, n_blocks) <= 1) at any thread count.
   for (const Bytes& input :
        {Bytes{}, corpus_bytes(workload::FileKind::Xml, 500, 5)}) {
     const auto res = compress::selective_compress(
         input, compress::SelectivePolicy::always());
-    EXPECT_EQ(compress::selective_decompress(res.container, 4), input);
+    ASSERT_EQ(res.blocks.size(), input.empty() ? 0u : 1u);
+    for (const unsigned threads : {1u, 2u, 4u, 8u})
+      EXPECT_EQ(compress::selective_decompress(res.container, threads), input)
+          << threads;
   }
 }
 
@@ -215,25 +214,27 @@ TEST(ThreadedInterleave, PipelinedMatchesSerial) {
   EXPECT_EQ(serial_out, input);
   EXPECT_EQ(serial_blocks, input);
 
-  core::InterleavedDownloader::Options opt;
-  opt.chunk_bytes = 4096;
-  opt.threads = 2;
-  opt.queue_chunks = 4;
-  core::InterleavedDownloader pipe_dl(opt);
-  std::vector<compress::BlockInfo> pipe_infos;
-  Bytes pipe_blocks;
-  const Bytes pipe_out = pipe_dl.run(
-      stuttering_source(res.container, 42),
-      [&](ByteSpan b) {
-        pipe_blocks.insert(pipe_blocks.end(), b.begin(), b.end());
-      },
-      &pipe_infos);
-  EXPECT_EQ(pipe_out, serial_out);
-  EXPECT_EQ(pipe_blocks, serial_blocks);
-  ASSERT_EQ(pipe_infos.size(), serial_infos.size());
-  for (std::size_t i = 0; i < pipe_infos.size(); ++i) {
-    EXPECT_EQ(pipe_infos[i].raw_size, serial_infos[i].raw_size);
-    EXPECT_EQ(pipe_infos[i].payload_size, serial_infos[i].payload_size);
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    core::InterleavedDownloader::Options opt;
+    opt.chunk_bytes = 4096;
+    opt.threads = threads;
+    core::InterleavedDownloader pipe_dl(opt);
+    std::vector<compress::BlockInfo> pipe_infos;
+    Bytes pipe_blocks;
+    const Bytes pipe_out = pipe_dl.run(
+        stuttering_source(res.container, 42),
+        [&](ByteSpan b) {
+          pipe_blocks.insert(pipe_blocks.end(), b.begin(), b.end());
+        },
+        &pipe_infos);
+    EXPECT_EQ(pipe_out, serial_out);
+    EXPECT_EQ(pipe_blocks, serial_blocks);
+    ASSERT_EQ(pipe_infos.size(), serial_infos.size());
+    for (std::size_t i = 0; i < pipe_infos.size(); ++i) {
+      EXPECT_EQ(pipe_infos[i].raw_size, serial_infos[i].raw_size);
+      EXPECT_EQ(pipe_infos[i].payload_size, serial_infos[i].payload_size);
+    }
   }
 }
 
@@ -267,12 +268,15 @@ TEST(ThreadedInterleave, TolerantTruncationMatchesSerial) {
   EXPECT_FALSE(serial_dl.recovery().crc_ok);
   EXPECT_GT(serial_dl.recovery().blocks_recovered, 0u);
 
-  core::InterleavedDownloader::Options pipe_opt = serial_opt;
-  pipe_opt.threads = 2;
-  core::InterleavedDownloader pipe_dl(pipe_opt);
-  const Bytes pipe_out = pipe_dl.run(stuttering_source(truncated, 7));
-  EXPECT_EQ(pipe_out, serial_out);
-  expect_same_recovery(pipe_dl.recovery(), serial_dl.recovery());
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    core::InterleavedDownloader::Options pipe_opt = serial_opt;
+    pipe_opt.threads = threads;
+    core::InterleavedDownloader pipe_dl(pipe_opt);
+    const Bytes pipe_out = pipe_dl.run(stuttering_source(truncated, 7));
+    EXPECT_EQ(pipe_out, serial_out);
+    expect_same_recovery(pipe_dl.recovery(), serial_dl.recovery());
+  }
 }
 
 TEST(ThreadedInterleave, TolerantCorruptBlockMatchesSerial) {
@@ -302,10 +306,13 @@ TEST(ThreadedInterleave, TolerantCorruptBlockMatchesSerial) {
     return std::make_tuple(threw, out, rep);
   };
   const auto [serial_threw, serial_out, serial_rep] = run_mode(1);
-  const auto [pipe_threw, pipe_out, pipe_rep] = run_mode(2);
-  EXPECT_EQ(pipe_threw, serial_threw);
-  EXPECT_EQ(pipe_out, serial_out);
-  if (!serial_threw) expect_same_recovery(pipe_rep, serial_rep);
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    const auto [pipe_threw, pipe_out, pipe_rep] = run_mode(threads);
+    EXPECT_EQ(pipe_threw, serial_threw);
+    EXPECT_EQ(pipe_out, serial_out);
+    if (!serial_threw) expect_same_recovery(pipe_rep, serial_rep);
+  }
 }
 
 TEST(ThreadedInterleave, PrematureEofThrowsInBothModes) {
@@ -327,8 +334,8 @@ TEST(ThreadedInterleave, PrematureEofThrowsInBothModes) {
 }
 
 TEST(ThreadedInterleave, ThreadedProxyAndClientMatchSerialWire) {
-  // Server compresses on a pool, client decodes through the two-thread
-  // pipeline — over real sockets, the bytes must match the serial pair.
+  // Server compresses on a pool, client inflates on the decoder's pool
+  // — over real sockets, the bytes must match the serial pair.
   const Bytes input = corpus_bytes(workload::FileKind::TarMixed, 200000, 16);
   net::FileStore store;
   store.put("f", input);
