@@ -65,8 +65,6 @@ int main() {
   // every Table 2 file is downloaded with this scheme.
   for (const auto& [label, timeline] : scheme_timeline)
     report.energy(label, timeline);
-  emit_stage_throughput(report);
-  profile_codec_stages(report);
   report.write();
   return 0;
 }

@@ -130,13 +130,13 @@ cmake --build build-check-obsoff -j "$JOBS" --target bench_codec_throughput
 
 echo
 echo "== ECOMP_OBS=OFF link hygiene: zero prof/monitor symbols in ecomp =="
-# zone.h/alloc.h are header-only exactly so an =OFF build needs no link
+# zone.h is header-only exactly so an =OFF build needs no link
 # edge to ecomp_prof; likewise the monitor subsystem (sampler, series
 # store, watchdog, rule parser) is compiled only under ECOMP_OBS=ON. If
 # any such symbol shows up in the =OFF CLI binary, that contract broke.
 cmake --build build-check-obsoff -j "$JOBS" --target ecomp
 if nm -C build-check-obsoff/tools/ecomp | grep -E \
-  "prof::(Profiler|FlightRecorder|install_crash_handler|fatal_dump|attach_flight_mirror|alloc_snapshot|rss_peak_kb|publish_alloc_metrics|write_folded)|obs::(Monitor|SeriesStore|Series|Watchdog|parse_rules)" \
+  "prof::(Profiler|FlightRecorder|install_crash_handler|fatal_dump|attach_flight_mirror|rss_peak_kb|write_folded)|obs::(Monitor|SeriesStore|Series|Watchdog|parse_rules)" \
   ; then
   echo "FAIL: ECOMP_OBS=OFF ecomp binary references prof/monitor symbols" >&2
   exit 1

@@ -39,7 +39,6 @@
 
 #if defined(ECOMP_OBS_ENABLED)
 #include "obs/rules.h"
-#include "prof/alloc.h"
 #include "prof/crash.h"
 #include "prof/flight.h"
 #include "prof/profiler.h"
@@ -998,7 +997,8 @@ bool flush_obs_outputs(const ArgParser& p, std::ostream& err) {
   if (!p.metrics_path.empty()) {
     try {
 #if defined(ECOMP_OBS_ENABLED)
-      prof::publish_alloc_metrics();  // prof.alloc.* gauges ride along
+      if (const std::int64_t kb = prof::rss_peak_kb(); kb >= 0)
+        obs::Registry::global().gauge("prof.rss_peak_kb").set(kb);
 #endif
       const std::string json = obs::Registry::global().to_json();
       write_file(p.metrics_path, as_bytes(json));

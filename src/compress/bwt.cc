@@ -237,7 +237,7 @@ std::vector<std::uint32_t> suffix_array(ByteSpan text) {
 Bytes bwt_forward(ByteSpan block, std::uint32_t& primary) {
   const std::size_t n = block.size();
   ECOMP_COUNT("bwt.block_sorts");
-  ECOMP_OBSERVE("bwt.block_bytes", ::ecomp::obs::pow2_bounds(21), n);
+  ECOMP_SLIDING_OBSERVE("bwt.block_bytes", n);
   primary = 0;
   if (n == 0) return {};
   if (n == 1) return Bytes(block.begin(), block.end());

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "prof/alloc.h"
 #include "prof/zone.h"
 #include "util/simd.h"
 
@@ -56,10 +55,6 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-// Bucket count for the probes-per-find histogram (pow2 bounds 1..2^11,
-// matching the largest max_chain of 4096 within two buckets).
-constexpr int kChainHistBuckets = 12;
-
 /// Reusable hash-chain arenas. One instance lives per thread (see
 /// tokenize_scratch()) so block-by-block callers — selective_compress,
 /// SelectiveStreamEncoder, the pool workers of the parallel pipeline —
@@ -75,15 +70,17 @@ struct MatcherScratch {
   void prepare(std::size_t input_size) {
     if (head.empty()) {
       head.assign(kHashSize, -1);
-      ECOMP_PROF_ALLOC("lz77.scratch",
-                       kHashSize * sizeof(std::int32_t));
+      ECOMP_COUNT_N("prof.alloc.lz77.scratch.bytes",
+                    kHashSize * sizeof(std::int32_t));
+      ECOMP_COUNT("prof.alloc.lz77.scratch.allocs");
     } else {
       ECOMP_COUNT("lz77.scratch_reuse");
       std::fill(head.begin(), head.end(), -1);
     }
     if (prev.size() < input_size) {
-      ECOMP_PROF_ALLOC("lz77.scratch",
-                       (input_size - prev.size()) * sizeof(std::int32_t));
+      ECOMP_COUNT_N("prof.alloc.lz77.scratch.bytes",
+                    (input_size - prev.size()) * sizeof(std::int32_t));
+      ECOMP_COUNT("prof.alloc.lz77.scratch.allocs");
       prev.resize(input_size);
     }
   }
@@ -107,11 +104,13 @@ struct Matcher {
 
   // Search statistics, accumulated locally (plain integers — the chain
   // walk is the hottest loop in deflate) and flushed to the registry
-  // once per tokenize call.
+  // once per tokenize call. chain_tally counts finds per sliding-
+  // histogram bucket of their probe count.
   mutable std::uint64_t stat_probes = 0;
   mutable std::uint64_t stat_finds = 0;
   mutable std::uint64_t stat_matches = 0;
-  mutable std::array<std::uint64_t, kChainHistBuckets + 1> chain_hist{};
+  mutable std::array<std::uint64_t, obs::SlidingHistogram::kBuckets>
+      chain_tally{};
 
   Matcher(ByteSpan input, const Lz77Params& p, MatcherScratch& s)
       : in(input), params(p), head(s.head), prev(s.prev) {
@@ -124,9 +123,14 @@ struct Matcher {
       reg.counter("lz77.match_probes").add(stat_probes);
       reg.counter("lz77.match_finds").add(stat_finds);
       reg.counter("lz77.matches_found").add(stat_matches);
-      reg.histogram("lz77.chain_len", obs::pow2_bounds(kChainHistBuckets))
-          .merge_buckets(chain_hist.data(), chain_hist.size(),
-                         static_cast<double>(stat_probes));
+      // Each bucket is recorded at its lower bound with its count, so
+      // the quantiles are those of one record per find; the exact
+      // probe total is lz77.match_probes.
+      auto& chain_len = reg.sliding("lz77.chain_len");
+      for (int b = 0; b < obs::SlidingHistogram::kBuckets; ++b)
+        if (chain_tally[b])
+          chain_len.record(obs::SlidingHistogram::bucket_lower(b),
+                           chain_tally[b]);
     }
   }
 
@@ -189,7 +193,7 @@ struct Matcher {
     if constexpr (obs::kObsEnabled) {
       stat_probes += probes;
       ++stat_finds;
-      ++chain_hist[obs::pow2_bucket(probes, kChainHistBuckets)];
+      ++chain_tally[obs::SlidingHistogram::bucket_index(probes)];
     }
     if (best_dist == 0 || best_len < kLzMinMatch) return {0, 0};
     if constexpr (obs::kObsEnabled) ++stat_matches;
@@ -206,8 +210,9 @@ std::vector<Lz77Token> lz77_tokenize(ByteSpan input,
   // Block granularity: one zone per tokenize call, never per token.
   ECOMP_PROF_ZONE("lz77.match");
   tokens.reserve(input.size() / 3);
-  ECOMP_PROF_ALLOC("lz77.tokens",
-                   (input.size() / 3) * sizeof(Lz77Token));
+  ECOMP_COUNT_N("prof.alloc.lz77.tokens.bytes",
+                (input.size() / 3) * sizeof(Lz77Token));
+  ECOMP_COUNT("prof.alloc.lz77.tokens.allocs");
 
   Matcher m(input, params, tokenize_scratch());
   std::size_t pos = 0;

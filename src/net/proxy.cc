@@ -23,7 +23,6 @@
 #if defined(ECOMP_OBS_ENABLED)
 #include "core/energy_model.h"
 #include "obs/monitor.h"
-#include "prof/alloc.h"
 #include "prof/flight.h"
 #include "prof/profiler.h"
 #endif
@@ -494,8 +493,6 @@ obs::StatsSnapshot ProxyServer::stats() const {
   s.prof.samples_lifetime = prof::Profiler::lifetime_samples();
   s.prof.sampler_active = prof::Profiler::sampler_active();
   s.prof.flight_recorded = prof::FlightRecorder::global().recorded();
-  for (const auto& a : prof::alloc_snapshot())
-    s.prof.alloc.push_back({a.component, a.bytes, a.allocs, a.peak});
   if (monitor_) {
     s.monitor.present = true;
     s.monitor.ticks = monitor_->ticks();
@@ -1107,17 +1104,26 @@ DownloadOutcome download_resilient(std::uint16_t port,
         if (recv_frame_header(s) != remaining)
           throw Error("download: frame disagrees with status");
 
-        Bytes buf(32 * 1024);
+        // Receive into partial's tail, grown at most one chunk past what
+        // has arrived (never by the status line's claim). On any throw
+        // it is trimmed back to the bytes received: the resume offset.
+        constexpr std::size_t kChunk = 32 * 1024;
+        std::size_t got = partial.size();
         std::uint64_t left = remaining;
-        while (left > 0) {
-          const std::size_t n = s.recv_some(
-              buf.data(),
-              static_cast<std::size_t>(std::min<std::uint64_t>(buf.size(),
-                                                               left)));
-          if (n == 0) throw Error("net: peer closed mid-message");
-          maybe_test_crash();
-          partial.insert(partial.end(), buf.begin(), buf.begin() + n);
-          left -= n;
+        try {
+          while (left > 0) {
+            partial.resize(got + static_cast<std::size_t>(
+                                     std::min<std::uint64_t>(kChunk, left)));
+            const std::size_t n =
+                s.recv_some(partial.data() + got, partial.size() - got);
+            if (n == 0) throw Error("net: peer closed mid-message");
+            maybe_test_crash();
+            got += n;
+            left -= n;
+          }
+        } catch (...) {
+          partial.resize(got);
+          throw;
         }
         if (partial.size() != total)
           throw Error("download: size mismatch after reassembly");

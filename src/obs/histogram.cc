@@ -56,7 +56,7 @@ void SlidingHistogram::refresh_slot(int slot, std::uint64_t e) {
                                                    std::memory_order_relaxed);
 }
 
-void SlidingHistogram::record(std::uint64_t v) {
+void SlidingHistogram::record(std::uint64_t v, std::uint64_t n) {
   const int idx = std::min(bucket_index(v), kBuckets - 1);
   const std::uint64_t e = now_ns() / slice_ns_;
   const int slot = static_cast<int>(e % static_cast<std::uint64_t>(
@@ -75,13 +75,13 @@ void SlidingHistogram::record(std::uint64_t v) {
   // cells with acquire: a snapshot reads the window before the totals,
   // so any record it sees in the window is already in the totals —
   // window_count can never transiently exceed total_count.
-  total_[static_cast<std::size_t>(idx)].fetch_add(1,
+  total_[static_cast<std::size_t>(idx)].fetch_add(n,
                                                   std::memory_order_relaxed);
-  total_count_.fetch_add(1, std::memory_order_relaxed);
-  total_sum_.fetch_add(v, std::memory_order_relaxed);
+  total_count_.fetch_add(n, std::memory_order_relaxed);
+  total_sum_.fetch_add(v * n, std::memory_order_relaxed);
   slice_sum_[static_cast<std::size_t>(slot)].fetch_add(
-      v, std::memory_order_relaxed);
-  cell(shard, slot, idx).fetch_add(1, std::memory_order_release);
+      v * n, std::memory_order_relaxed);
+  cell(shard, slot, idx).fetch_add(n, std::memory_order_release);
 }
 
 std::uint64_t SlidingHistogram::merge_window(std::uint64_t* merged,

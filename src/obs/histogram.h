@@ -66,7 +66,9 @@ class SlidingHistogram {
   SlidingHistogram() : SlidingHistogram(Options{}) {}
   explicit SlidingHistogram(Options opt);
 
-  void record(std::uint64_t v);
+  /// Record `n` observations of value `v` (a hot loop tallies locally
+  /// and flushes each value once with its count).
+  void record(std::uint64_t v, std::uint64_t n = 1);
 
   /// Quantile estimate (bucket midpoint) over the window, falling back
   /// to the all-time distribution when the window is empty. q in [0,1].

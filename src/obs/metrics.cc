@@ -1,72 +1,10 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/json.h"
 
 namespace ecomp::obs {
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()))
-    bounds_.clear();  // degenerate registration: everything overflows
-}
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  add_sum(v);
-}
-
-void Histogram::merge_buckets(const std::uint64_t* counts, std::size_t n,
-                              double sum) {
-  const std::size_t m = std::min(n, counts_.size());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!counts[i]) continue;
-    counts_[i].fetch_add(counts[i], std::memory_order_relaxed);
-    total += counts[i];
-  }
-  count_.fetch_add(total, std::memory_order_relaxed);
-  add_sum(sum);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_values() const {
-  std::vector<std::uint64_t> out(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  return out;
-}
-
-double Histogram::sum() const {
-  return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
-}
-
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(0, std::memory_order_relaxed);
-}
-
-void Histogram::add_sum(double d) {
-  std::uint64_t old = sum_bits_.load(std::memory_order_relaxed);
-  while (!sum_bits_.compare_exchange_weak(
-      old, std::bit_cast<std::uint64_t>(std::bit_cast<double>(old) + d),
-      std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<double> pow2_bounds(int n) {
-  std::vector<double> b(static_cast<std::size_t>(std::max(n, 1)));
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = static_cast<double>(std::uint64_t{1} << i);
-  return b;
-}
 
 Registry& Registry::global() {
   static Registry r;
@@ -90,18 +28,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> bounds) {
-  std::lock_guard lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  return *it->second;
-}
-
 SlidingHistogram& Registry::sliding(std::string_view name,
                                     SlidingHistogram::Options opt) {
   std::lock_guard lock(mu_);
@@ -118,7 +44,6 @@ void Registry::reset() {
   std::lock_guard lock(mu_);
   for (auto& [_, c] : counters_) c->reset();
   for (auto& [_, g] : gauges_) g->reset();
-  for (auto& [_, h] : histograms_) h->reset();
   for (auto& [_, s] : sliding_) s->reset();
 }
 
@@ -139,22 +64,6 @@ std::string Registry::to_json() const {
     first = false;
     os << json_quote(name) << ":" << g->value();
   }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << json_quote(name) << ":{\"bounds\":[";
-    const auto& bounds = h->bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i)
-      os << (i ? "," : "") << json_number(bounds[i]);
-    os << "],\"buckets\":[";
-    const auto buckets = h->bucket_values();
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-      os << (i ? "," : "") << buckets[i];
-    os << "],\"count\":" << h->count()
-       << ",\"sum\":" << json_number(h->sum()) << "}";
-  }
   os << "},\"sliding\":{";
   first = true;
   for (const auto& [name, s] : sliding_) {
@@ -171,33 +80,6 @@ std::string Registry::to_json() const {
        << ",\"p999\":" << json_number(snap.p999) << "}";
   }
   os << "}}";
-  return os.str();
-}
-
-std::string Registry::to_text() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream os;
-  for (const auto& [name, c] : counters_)
-    os << name << " " << c->value() << "\n";
-  for (const auto& [name, g] : gauges_)
-    os << name << " " << g->value() << "\n";
-  for (const auto& [name, h] : histograms_) {
-    os << name << " count=" << h->count() << " sum=" << json_number(h->sum())
-       << " mean="
-       << json_number(h->count() ? h->sum() /
-                                       static_cast<double>(h->count())
-                                 : 0.0)
-       << "\n";
-  }
-  for (const auto& [name, s] : sliding_) {
-    const auto snap = s->snapshot();
-    os << name << " count=" << snap.total_count
-       << " rate_per_s=" << json_number(snap.rate_per_s)
-       << " p50=" << json_number(snap.p50)
-       << " p90=" << json_number(snap.p90)
-       << " p99=" << json_number(snap.p99)
-       << " p999=" << json_number(snap.p999) << "\n";
-  }
   return os.str();
 }
 

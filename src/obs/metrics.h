@@ -1,6 +1,6 @@
-// obs::Registry — process-wide named counters, gauges, and fixed-bucket
+// obs::Registry — process-wide named counters, gauges, and sliding
 // histograms behind lock-free atomics. Hot paths record through the
-// ECOMP_COUNT*/ECOMP_OBSERVE macros (a static reference caches the
+// ECOMP_COUNT*/ECOMP_SLIDING_* macros (a static reference caches the
 // registry lookup, so steady-state cost is one relaxed atomic op); with
 // the CMake option ECOMP_OBS=OFF the macros compile to true no-ops and
 // `kObsEnabled` lets call sites `if constexpr` away their bookkeeping.
@@ -10,8 +10,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -55,46 +53,6 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Fixed-bucket histogram: bucket i counts observations <= bounds[i],
-/// plus one overflow bucket. Bounds are set at registration and never
-/// change, so observation is a bounds scan + one relaxed increment.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-  /// Bulk-merge locally accumulated buckets (must match bucket_count()).
-  /// Lets inner loops count into a plain array and flush once.
-  void merge_buckets(const std::uint64_t* counts, std::size_t n, double sum);
-
-  std::size_t bucket_count() const { return counts_.size(); }  // bounds+1
-  const std::vector<double>& bounds() const { return bounds_; }
-  std::vector<std::uint64_t> bucket_values() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
-  void reset();
-
- private:
-  void add_sum(double d);
-
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_bits_{0};  // double, CAS-accumulated
-};
-
-/// Power-of-two bounds {1, 2, 4, ..., 2^(n-1)} — the default shape for
-/// length-like distributions (chain lengths, block sizes).
-std::vector<double> pow2_bounds(int n);
-
-/// Index into a pow2_bounds(n) histogram's local bucket array for value
-/// v (the first bucket whose bound is >= v; last bucket is overflow).
-inline std::size_t pow2_bucket(std::uint64_t v, int n) {
-  if (v <= 1) return 0;
-  int b = 64 - std::countl_zero(v - 1);  // ceil(log2(v))
-  return b < n ? static_cast<std::size_t>(b) : static_cast<std::size_t>(n);
-}
-
 /// Named-instrument registry. Instruments are created on first use and
 /// live for the life of the process; reset() zeroes values but never
 /// invalidates references, so the macros' cached statics stay valid.
@@ -104,8 +62,6 @@ class Registry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `bounds` applies on first registration only (ascending).
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
   /// Sliding-window quantile histogram (see obs/histogram.h). `opt`
   /// applies on first registration only.
   SlidingHistogram& sliding(std::string_view name,
@@ -114,11 +70,9 @@ class Registry {
   /// Zero every instrument (benches diff before/after a workload).
   void reset();
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} — histograms
-  /// carry bounds, bucket counts, count and sum.
+  /// {"counters":{...},"gauges":{...},"sliding":{...}} — sliding
+  /// histograms carry count, sum, window rate and quantiles.
   std::string to_json() const;
-  /// Flat `name value` lines, sorted, for terminal diffing.
-  std::string to_text() const;
 
   /// Counter name -> value snapshot (programmatic diffing in tests).
   std::map<std::string, std::uint64_t> counter_values() const;
@@ -145,7 +99,6 @@ class Registry {
   mutable std::mutex mu_;  // guards the maps; instruments are atomic
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<SlidingHistogram>, std::less<>>
       sliding_;
 };
@@ -167,12 +120,6 @@ class Registry {
     static ::ecomp::obs::Gauge& ecomp_obs_g_ =                       \
         ::ecomp::obs::Registry::global().gauge(name);                \
     ecomp_obs_g_.set(static_cast<std::int64_t>(v));                  \
-  } while (0)
-#define ECOMP_OBSERVE(name, bounds, v)                               \
-  do {                                                               \
-    static ::ecomp::obs::Histogram& ecomp_obs_h_ =                   \
-        ::ecomp::obs::Registry::global().histogram(name, bounds);    \
-    ecomp_obs_h_.observe(static_cast<double>(v));                    \
   } while (0)
 #define ECOMP_SLIDING_OBSERVE(name, v)                               \
   do {                                                               \
@@ -197,8 +144,6 @@ class Registry {
 #define ECOMP_COUNT_N(name, n) do { (void)sizeof(name); (void)sizeof(n); } while (0)
 #define ECOMP_COUNT(name) do { (void)sizeof(name); } while (0)
 #define ECOMP_GAUGE_SET(name, v) do { (void)sizeof(name); (void)sizeof(v); } while (0)
-#define ECOMP_OBSERVE(name, bounds, v) \
-  do { (void)sizeof(name); (void)sizeof(v); } while (0)
 #define ECOMP_SLIDING_OBSERVE(name, v) \
   do { (void)sizeof(name); (void)sizeof(v); } while (0)
 #define ECOMP_SLIDING_TIMER(name) do { (void)sizeof(name); } while (0)

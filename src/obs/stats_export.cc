@@ -89,15 +89,6 @@ std::string stats_to_json(const StatsSnapshot& s) {
     w.key("samples_lifetime").value(s.prof.samples_lifetime);
     w.key("sampler_active").value(s.prof.sampler_active);
     w.key("flight_recorded").value(s.prof.flight_recorded);
-    w.key("alloc").begin_object();
-    for (const auto& a : s.prof.alloc) {
-      w.key(a.component).begin_object();
-      w.key("bytes").value(a.bytes);
-      w.key("allocs").value(a.allocs);
-      w.key("peak").value(a.peak);
-      w.end_object();
-    }
-    w.end_object();
     w.end_object();
   }
   if (s.admission.present) {
@@ -180,9 +171,6 @@ std::string stats_to_text(const StatsSnapshot& s) {
     os << "prof sampler " << (s.prof.sampler_active ? "active" : "idle")
        << " samples=" << s.prof.samples_lifetime << "\n";
     os << "prof flight_recorded " << s.prof.flight_recorded << "\n";
-    for (const auto& a : s.prof.alloc)
-      os << "prof alloc " << a.component << " bytes=" << a.bytes
-         << " allocs=" << a.allocs << " peak=" << a.peak << "\n";
   }
   if (s.admission.present) {
     os << "admission workers=" << s.admission.workers
@@ -279,25 +267,6 @@ std::string stats_to_prometheus(const StatsSnapshot& s) {
     counter("prof_flight_recorded_total",
             "Events seen by the flight recorder.",
             std::to_string(s.prof.flight_recorded));
-    const auto alloc_family =
-        [&](std::string_view name, std::string_view help, const char* type,
-            std::uint64_t ProfAllocStat::*field) {
-          if (s.prof.alloc.empty()) return;
-          const std::string n = prom_name(name);
-          if (!begin_family(n, help, type)) return;
-          for (const auto& a : s.prof.alloc)
-            os << n << "{component=\"" << prom_label_value(a.component)
-               << "\"} " << a.*field << "\n";
-        };
-    alloc_family("prof_alloc_bytes_total",
-                 "Bytes booked per component arena.", "counter",
-                 &ProfAllocStat::bytes);
-    alloc_family("prof_alloc_allocs_total",
-                 "Arena bookings per component.", "counter",
-                 &ProfAllocStat::allocs);
-    alloc_family("prof_alloc_peak_bytes",
-                 "Peak live arena bytes per component.", "gauge",
-                 &ProfAllocStat::peak);
   }
   if (s.admission.present) {
     gauge("admission_workers", "Proxy worker-pool size.",

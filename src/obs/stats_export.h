@@ -25,15 +25,7 @@ struct HistStat {
   SlidingHistogram::Snapshot snap;
 };
 
-/// One component row of the prof allocation-accounting table.
-struct ProfAllocStat {
-  std::string component;
-  std::uint64_t bytes = 0;   ///< total bytes ever booked
-  std::uint64_t allocs = 0;  ///< booking events
-  std::uint64_t peak = 0;    ///< high-water mark of live bytes
-};
-
-/// The STATS PROF section: profiler/allocation/flight-recorder state.
+/// The STATS PROF section: profiler/memory/flight-recorder state.
 /// `present` is false in ECOMP_OBS=OFF builds (section omitted).
 struct ProfStats {
   bool present = false;
@@ -41,7 +33,6 @@ struct ProfStats {
   std::uint64_t samples_lifetime = 0;     ///< sampler stacks ever captured
   bool sampler_active = false;            ///< ITIMER_PROF currently armed
   std::uint64_t flight_recorded = 0;      ///< events seen by the recorder
-  std::vector<ProfAllocStat> alloc;       ///< sorted by component
 };
 
 /// One alert row of the STATS ALERTS section (mirrors obs::Alert; kept
@@ -99,8 +90,9 @@ struct MonitorStats {
 struct StatsSnapshot {
   /// STATS payload schema version: bumped to 2 when provenance and the
   /// MONITOR/ALERTS sections were added, to 3 for the ADMISSION/CACHE
-  /// sections (fields are append-only).
-  int schema = 3;
+  /// sections, to 4 when the PROF allocation table was removed (fields
+  /// are append-only; a removal bumps the version).
+  int schema = 4;
   double uptime_s = 0.0;
   std::uint64_t connections_active = 0;
   std::uint64_t connections_total = 0;

@@ -17,8 +17,6 @@ ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity) {
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i)
     workers_.emplace_back([this] { worker(); });
-  ECOMP_GAUGE_SET("par.workers", n);
-  ECOMP_GAUGE_SET("par.queue_capacity", capacity_);
 }
 
 ThreadPool::~ThreadPool() {

@@ -14,10 +14,11 @@
 //   * Obs-instrumented: "par.tasks" counts executed tasks,
 //     "par.queue_depth" is a sliding-window histogram of the queue
 //     backlog sampled at every push/pop (so p50/p99 backlog and not
-//     just the last value survive to the STATS surface),
-//     "par.workers" records the pool size, and each task body runs
-//     under an ECOMP_TRACE_SPAN("par.task") so pool activity shows up
-//     on the wall-clock trace track.
+//     just the last value survive to the STATS surface), and each task
+//     body runs under an ECOMP_TRACE_SPAN("par.task") so pool activity
+//     shows up on the wall-clock trace track. Every pool feeds these
+//     process-wide series; none records its own size (a proxy reports
+//     its connection pool under STATS ADMISSION).
 //   * Exceptions: async() returns a std::future that rethrows whatever
 //     the task threw — the reorder buffers in the compression stack
 //     propagate worker failures to the caller in block order.

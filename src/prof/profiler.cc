@@ -484,4 +484,20 @@ void write_folded(const std::string& path, const ProfileReport& report) {
   if (!out) throw std::runtime_error("cannot write profile output: " + path);
 }
 
+std::int64_t rss_peak_kb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (!f) return -1;
+  char line[256];
+  std::int64_t kb = -1;
+  while (std::fgets(line, sizeof line, f)) {
+    long long v = 0;
+    if (std::sscanf(line, "VmHWM: %lld kB", &v) == 1) {
+      kb = v;
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb;
+}
+
 }  // namespace ecomp::prof

@@ -94,4 +94,7 @@ class Profiler {
 /// std::runtime_error on IO failure.
 void write_folded(const std::string& path, const ProfileReport& report);
 
+/// Peak resident set (VmHWM from /proc/self/status), or -1 off-Linux.
+std::int64_t rss_peak_kb();
+
 }  // namespace ecomp::prof

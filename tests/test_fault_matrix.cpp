@@ -158,6 +158,34 @@ TEST_F(FaultFixture, ResumeCarriesBytesAcrossReconnects) {
   EXPECT_EQ(fresh.resumed_bytes, 0u);
 }
 
+TEST(FaultResume, TimedOutReceiveResumesFromTheBytesReceived) {
+  // A stall past the client deadline ends attempt 1 mid-payload, and
+  // the resume must ask for exactly the bytes that arrived. Resuming
+  // from a receive buffer grown past them would leave a hole, fail the
+  // payload CRC and cost a third attempt. Two workers serve attempt 2
+  // while the stalled connection still sleeps.
+  const Bytes data = workload::generate_kind(FileKind::Xml, 300000, 7, 0.4);
+  FileStore store;
+  store.put("f.xml", data);
+  ProxyOptions opt;
+  opt.workers = 2;
+  ProxyServer server(
+      std::move(store),
+      core::make_selective_policy(core::EnergyModel::paper_11mbps()), opt);
+  FaultSpec spec;
+  spec.kind = FaultKind::Delay;
+  spec.at_byte = 100000;
+  spec.delay_ms = 600;
+  server.set_fault_injector(std::make_shared<FaultInjector>(spec, 1));
+  auto tp = fast_policy(3);
+  tp.timeout_ms = 250;
+  const auto outcome = download_resilient(server.port(), "f.xml", "raw", tp);
+  EXPECT_EQ(outcome.data, data);
+  EXPECT_EQ(outcome.attempts, 2);
+  EXPECT_GT(outcome.resumed_bytes, 50000u);  // kept most of attempt 1
+  server.stop();
+}
+
 TEST_F(FaultFixture, CorruptionIsDetectedInRawMode) {
   // Raw mode has no container CRC of its own; GET-RANGE's payload crc32
   // must catch the flip and force a clean retry.

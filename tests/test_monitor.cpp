@@ -647,6 +647,32 @@ TEST_F(MonitorProxyTest, LatencySeriesArePerProxy) {
   b.stop();
 }
 
+TEST_F(MonitorProxyTest, CodecPoolsDoNotReportAsTheConnectionPool) {
+  // An on-demand selective GET encodes on a 2-thread pool inside a
+  // 4-worker proxy. ADMISSION reports the connection pool, and no
+  // process-wide gauge lets the request's pool overwrite it.
+  net::ProxyOptions opt;
+  opt.workers = 4;
+  opt.threads = 2;
+  net::ProxyServer server(store_with("f", 600000),
+                          compress::SelectivePolicy::always(), opt);
+  EXPECT_EQ(net::download(server.port(), "f", "selective"), data_);
+  ASSERT_NE(server.monitor(), nullptr);
+  server.monitor()->tick();
+  const auto doc = obs::parse_json(net::fetch_stats(server.port(), "json"));
+  const auto* admission = doc.find("admission");
+  ASSERT_NE(admission, nullptr);
+  EXPECT_EQ(admission->number_or("workers", -1), 4.0);
+  bool sampled_par = false;
+  for (const auto& [name, v] : server.monitor()->latest()) {
+    sampled_par = sampled_par || name.rfind("par.", 0) == 0;
+    EXPECT_NE(name, "par.workers");
+    EXPECT_NE(name, "par.queue_capacity");
+  }
+  EXPECT_TRUE(sampled_par);  // the pool's own series are still sampled
+  server.stop();
+}
+
 // ------------------------------------------------------ CLI surface
 
 TEST_F(MonitorProxyTest, StatsWatchRejectsNegativeCount) {

@@ -180,44 +180,56 @@ TEST(ObsMetrics, GaugeBasics) {
 }
 
 TEST(ObsMetrics, HistogramBucketsAndSum) {
-  Histogram h({1.0, 2.0, 4.0});
-  h.observe(0.5);  // bucket 0 (<=1)
-  h.observe(1.0);  // bucket 0
-  h.observe(3.0);  // bucket 2 (<=4)
-  h.observe(99);   // overflow bucket
-  EXPECT_EQ(h.bucket_count(), 4u);
-  EXPECT_EQ(h.bucket_values(), (std::vector<std::uint64_t>{2, 0, 1, 1}));
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 3.0 + 99.0);
+  SlidingHistogram h;
+  h.record(0);
+  h.record(1);
+  h.record(3);
+  h.record(99);
+  auto snap = h.snapshot();
+  EXPECT_EQ(snap.total_count, 4u);
+  EXPECT_DOUBLE_EQ(snap.total_sum, 0.0 + 1.0 + 3.0 + 99.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.0);  // values below 16 are exact
+  EXPECT_NEAR(h.quantile(1.0), 99.0,
+              99.0 * SlidingHistogram::kMaxRelativeError);
   h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+  snap = h.snapshot();
+  EXPECT_EQ(snap.total_count, 0u);
+  EXPECT_DOUBLE_EQ(snap.total_sum, 0.0);
 }
 
 TEST(ObsMetrics, HistogramMergeBuckets) {
-  Histogram h(pow2_bounds(3));  // bounds {1,2,4}, 4 buckets
-  const std::uint64_t local[4] = {5, 0, 2, 1};
-  h.merge_buckets(local, 4, 123.0);
-  h.merge_buckets(local, 4, 1.0);
-  EXPECT_EQ(h.bucket_values(), (std::vector<std::uint64_t>{10, 0, 4, 2}));
-  EXPECT_EQ(h.count(), 16u);
-  EXPECT_DOUBLE_EQ(h.sum(), 124.0);
+  // A hot loop tallies locally and flushes each value once with its
+  // count (lz77.chain_len): the result equals one record per value.
+  SlidingHistogram counted, one_by_one;
+  const std::pair<std::uint64_t, std::uint64_t> tally[] = {
+      {1, 5}, {40, 2}, {700, 1}, {9, 0}};
+  for (const auto& [v, n] : tally) {
+    counted.record(v, n);
+    for (std::uint64_t i = 0; i < n; ++i) one_by_one.record(v);
+  }
+  const auto a = counted.snapshot();
+  const auto b = one_by_one.snapshot();
+  EXPECT_EQ(a.total_count, 8u);
+  EXPECT_DOUBLE_EQ(a.total_sum, 5.0 + 80.0 + 700.0);
+  EXPECT_EQ(a.window_count, b.window_count);
+  EXPECT_DOUBLE_EQ(a.window_sum, b.window_sum);
+  EXPECT_DOUBLE_EQ(a.total_sum, b.total_sum);
+  for (const double q : {0.1, 0.5, 0.75, 0.9, 1.0})
+    EXPECT_EQ(counted.quantile(q), one_by_one.quantile(q)) << "q=" << q;
 }
 
 TEST(ObsMetrics, Pow2BucketMatchesObserve) {
-  // The local fast-path index must agree with Histogram::observe's
-  // lower_bound placement for every small value.
-  constexpr int n = 8;
-  const auto bounds = pow2_bounds(n);
-  ASSERT_EQ(bounds.size(), static_cast<std::size_t>(n));
-  for (std::uint64_t v = 0; v <= 600; ++v) {
-    Histogram h(bounds);
-    h.observe(static_cast<double>(v));
-    const auto placed = h.bucket_values();
-    std::size_t observed = 0;
-    for (std::size_t i = 0; i < placed.size(); ++i)
-      if (placed[i]) observed = i;
-    EXPECT_EQ(pow2_bucket(v, n), observed) << "v=" << v;
+  // lz77 tallies finds by bucket_index and flushes each bucket at its
+  // lower bound: that value must land back in the same bucket, so the
+  // flushed histogram is the one a record per find would build.
+  for (std::uint64_t v = 0; v <= 5000; ++v) {
+    const int b = SlidingHistogram::bucket_index(v);
+    ASSERT_LE(SlidingHistogram::bucket_lower(b), v);
+    ASSERT_LT(v, SlidingHistogram::bucket_upper(b));
+    ASSERT_EQ(SlidingHistogram::bucket_index(
+                  SlidingHistogram::bucket_lower(b)),
+              b)
+        << "v=" << v;
   }
 }
 
@@ -232,11 +244,11 @@ TEST(ObsMetrics, RegistryDedupAndSnapshot) {
   ASSERT_TRUE(snap.count("test.obs.dedup"));
   EXPECT_EQ(snap.at("test.obs.dedup"), 7u);
 
-  // Bounds apply on first registration only; later calls reuse them.
-  Histogram& h1 = r.histogram("test.obs.h", {1.0, 2.0});
-  Histogram& h2 = r.histogram("test.obs.h", {99.0});
+  // Options apply on first registration only; later calls reuse them.
+  SlidingHistogram& h1 = r.sliding("test.obs.h", {.window_s = 10.0});
+  SlidingHistogram& h2 = r.sliding("test.obs.h", {.window_s = 99.0});
   EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h2.bounds(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_DOUBLE_EQ(h2.options().window_s, 10.0);
 }
 
 TEST(ObsMetrics, ResetKeepsReferencesValid) {
@@ -253,13 +265,13 @@ TEST(ObsMetrics, ExportsAreWellFormed) {
   auto& r = Registry::global();
   r.counter("test.obs.\"quoted\"\nname").add(1);
   r.gauge("test.obs.gauge").set(-5);
-  r.histogram("test.obs.export_h", {1.0, 8.0}).observe(3.0);
+  r.sliding("test.obs.export_h").record(3);
   const std::string json = r.to_json();
   EXPECT_TRUE(is_valid_json(json)) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  const std::string text = r.to_text();
-  EXPECT_NE(text.find("test.obs.gauge"), std::string::npos);
+  EXPECT_NE(json.find("\"test.obs.gauge\""), std::string::npos);
+  EXPECT_NE(json.find("\"sliding\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
 }
 
 TEST(ObsMetrics, SnapshotOrderIsSortedByName) {
@@ -272,17 +284,16 @@ TEST(ObsMetrics, SnapshotOrderIsSortedByName) {
   r.counter("test.order.mm").add(1);
   r.gauge("test.order.g2").set(2);
   r.gauge("test.order.g1").set(1);
-  for (const std::string& s : {r.to_json(), r.to_text()}) {
-    const auto a = s.find("test.order.aa");
-    const auto m = s.find("test.order.mm");
-    const auto z = s.find("test.order.zz");
-    ASSERT_NE(a, std::string::npos) << s;
-    ASSERT_NE(m, std::string::npos);
-    ASSERT_NE(z, std::string::npos);
-    EXPECT_LT(a, m) << "snapshot not sorted:\n" << s;
-    EXPECT_LT(m, z) << "snapshot not sorted:\n" << s;
-    EXPECT_LT(s.find("test.order.g1"), s.find("test.order.g2"));
-  }
+  const std::string s = r.to_json();
+  const auto a = s.find("test.order.aa");
+  const auto m = s.find("test.order.mm");
+  const auto z = s.find("test.order.zz");
+  ASSERT_NE(a, std::string::npos) << s;
+  ASSERT_NE(m, std::string::npos);
+  ASSERT_NE(z, std::string::npos);
+  EXPECT_LT(a, m) << "snapshot not sorted:\n" << s;
+  EXPECT_LT(m, z) << "snapshot not sorted:\n" << s;
+  EXPECT_LT(s.find("test.order.g1"), s.find("test.order.g2"));
   // Same registry, same contents -> byte-identical snapshot.
   EXPECT_EQ(r.to_json(), r.to_json());
 }
@@ -290,7 +301,7 @@ TEST(ObsMetrics, SnapshotOrderIsSortedByName) {
 TEST(ObsMetrics, ConcurrentIncrementsDontLose) {
   auto& r = Registry::global();
   Counter& c = r.counter("test.obs.mt_counter");
-  Histogram& h = r.histogram("test.obs.mt_hist", pow2_bounds(4));
+  SlidingHistogram& h = r.sliding("test.obs.mt_hist");
   c.reset();
   h.reset();
   constexpr int kThreads = 8;
@@ -300,15 +311,16 @@ TEST(ObsMetrics, ConcurrentIncrementsDontLose) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         c.add();
-        h.observe(static_cast<double>(t % 5));
+        h.record(static_cast<std::uint64_t>(t % 5));
       }
     });
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  std::uint64_t total = 0;
-  for (const auto v : h.bucket_values()) total += v;
-  EXPECT_EQ(total, h.count());
+  const auto snap = h.snapshot();
+  EXPECT_EQ(snap.total_count,
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_DOUBLE_EQ(snap.total_sum, (0 + 1 + 2 + 3 + 4 + 0 + 1 + 2) *
+                                       static_cast<double>(kPerThread));
 }
 
 // ----------------------------------------------------------------- tracer
@@ -406,12 +418,15 @@ TEST(ObsMacros, MacrosCompileInThisBuildMode) {
   ECOMP_COUNT("test.obs.macro");
   ECOMP_COUNT_N("test.obs.macro", 4);
   ECOMP_GAUGE_SET("test.obs.macro_gauge", 11);
-  ECOMP_OBSERVE("test.obs.macro_hist", pow2_bounds(4), 3);
+  ECOMP_SLIDING_OBSERVE("test.obs.macro_hist", 3);
   ECOMP_TRACE_SPAN("test.obs.macro_span", "test");
 #if defined(ECOMP_OBS_ENABLED)
   static_assert(kObsEnabled);
   EXPECT_EQ(Registry::global().counter("test.obs.macro").value(), 5u);
   EXPECT_EQ(Registry::global().gauge("test.obs.macro_gauge").value(), 11);
+  EXPECT_EQ(
+      Registry::global().sliding("test.obs.macro_hist").snapshot().total_count,
+      1u);
 #else
   // ECOMP_OBS=OFF: the macros must evaluate nothing — names never reach
   // the registry.

@@ -26,14 +26,17 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cli/cli.h"
 #include "compress/codec.h"
+#include "compress/lz77.h"
 #include "compress/selective.h"
 #include "net/proxy.h"
 #include "obs/events.h"
 #include "obs/json_parse.h"
-#include "prof/alloc.h"
+#include "obs/metrics.h"
 #include "prof/crash.h"
 #include "prof/flight.h"
 #include "prof/profiler.h"
@@ -195,50 +198,89 @@ TEST(ProfSampling, WriteFoldedRoundTripsThroughDisk) {
 
 // ------------------------------------------------ alloc accounting
 
-TEST(ProfAlloc, BooksBytesCountsAndPeakPerComponent) {
-  ECOMP_PROF_ALLOC("test.alloc_site", 1000);
-  ECOMP_PROF_ALLOC("test.alloc_site", 500);
-  ECOMP_PROF_RELEASE("test.alloc_site", 1500);
-  ECOMP_PROF_ALLOC("test.alloc_site", 200);
-
-  bool found = false;
-  for (const auto& row : prof::alloc_snapshot()) {
-    if (row.component != "test.alloc_site") continue;
-    found = true;
-    EXPECT_EQ(row.bytes, 1700u);    // total ever booked
-    EXPECT_EQ(row.allocs, 3u);      // booking events
-    EXPECT_EQ(row.current, 200u);   // live after the release
-    EXPECT_EQ(row.peak, 1500u);     // high-water mark survives release
+/// Registry counter deltas across `fn`.
+template <typename Fn>
+std::map<std::string, std::uint64_t> counter_deltas(Fn&& fn) {
+  const auto before = obs::Registry::global().counter_values();
+  fn();
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, v] : obs::Registry::global().counter_values()) {
+    const auto it = before.find(name);
+    out[name] = v - (it == before.end() ? 0 : it->second);
   }
-  EXPECT_TRUE(found);
+  return out;
+}
+
+TEST(ProfAlloc, BooksBytesCountsAndPeakPerComponent) {
+  // Arena bookings are registry counters: bytes and booking events per
+  // component. A fresh thread starts with empty match arenas, so one
+  // tokenize call books both of them (the 32 K-entry head table, then
+  // one prev entry per input byte) and its token vector.
+  constexpr std::size_t n = 90000;
+  const auto d = counter_deltas([&] {
+    std::thread([&] {
+      compress::lz77_tokenize(ByteSpan(xml_input().data(), n),
+                              compress::Lz77Params::for_level(6));
+    }).join();
+  });
+  EXPECT_EQ(d.at("prof.alloc.lz77.tokens.bytes"),
+            n / 3 * sizeof(compress::Lz77Token));
+  EXPECT_EQ(d.at("prof.alloc.lz77.tokens.allocs"), 1u);
+  EXPECT_EQ(d.at("prof.alloc.lz77.scratch.bytes"),
+            (32768 + n) * sizeof(std::int32_t));
+  EXPECT_EQ(d.at("prof.alloc.lz77.scratch.allocs"), 2u);
+  // Nothing is ever released, so there is no peak to repeat the total.
+  EXPECT_EQ(obs::Registry::global().to_json().find(".peak\""),
+            std::string::npos);
 }
 
 TEST(ProfAlloc, ScopedAccountingNamesTheCaller) {
-  {
-    prof::AllocScope scope("test.scoped_site");
-    prof::account_scoped(4096);
-  }
-  prof::account_scoped(1 << 30);  // outside any scope: dropped
-  bool found = false;
-  for (const auto& row : prof::alloc_snapshot()) {
-    if (row.component != "test.scoped_site") continue;
-    found = true;
-    EXPECT_EQ(row.bytes, 4096u);
-    EXPECT_EQ(row.allocs, 1u);
-  }
-  EXPECT_TRUE(found);
+  // Each booking names its component in the counter itself, so the
+  // CLI's --metrics dump carries it with no publish step, next to the
+  // prof.rss_peak_kb gauge and the sliding lz77.chain_len histogram.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("ecomp_prof_metrics_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  constexpr std::size_t n = 200000;
+  cli::write_file((dir / "in.xml").string(), ByteSpan(xml_input().data(), n));
+  std::ostringstream out, err;
+  ASSERT_EQ(cli::run({"compress", "-c", "deflate", "--metrics",
+                      (dir / "m.json").string(), (dir / "in.xml").string(),
+                      (dir / "out.ec").string()},
+                     out, err),
+            0)
+      << err.str();
+  const auto doc = obs::parse_json(read_file(dir / "m.json"));
+  fs::remove_all(dir);
+  const auto* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_GE(counters->number_or("prof.alloc.lz77.tokens.bytes", 0),
+            static_cast<double>(n / 3 * sizeof(compress::Lz77Token)));
+  EXPECT_GE(counters->number_or("prof.alloc.lz77.tokens.allocs", 0), 1.0);
+  ASSERT_NE(doc.find("gauges"), nullptr);
+  EXPECT_GT(doc.find("gauges")->number_or("prof.rss_peak_kb", 0), 0.0);
   EXPECT_GT(prof::rss_peak_kb(), 0);  // VmHWM is readable on Linux
+  EXPECT_EQ(doc.find("histograms"), nullptr);
+  // One chain_len observation per match find.
+  ASSERT_NE(doc.find("sliding"), nullptr);
+  const auto* chain = doc.find("sliding")->find("lz77.chain_len");
+  ASSERT_NE(chain, nullptr);
+  EXPECT_GT(chain->number_or("count", 0), 0.0);
+  EXPECT_EQ(chain->number_or("count", -1),
+            counters->number_or("lz77.match_finds", -2));
 }
 
 TEST(ProfAlloc, CodecScratchArenasAreInstrumented) {
   const auto codec = compress::make_codec("deflate");
-  const Bytes packed = codec->compress(xml_input());
-  ASSERT_FALSE(packed.empty());
-  std::set<std::string> components;
-  for (const auto& row : prof::alloc_snapshot())
-    components.insert(row.component);
-  EXPECT_TRUE(components.count("lz77.scratch"));
-  EXPECT_TRUE(components.count("lz77.tokens"));
+  const auto d = counter_deltas([&] {
+    std::thread([&] {
+      EXPECT_FALSE(codec->compress(xml_input()).empty());
+    }).join();
+  });
+  EXPECT_GE(d.at("prof.alloc.lz77.scratch.allocs"), 2u);
+  EXPECT_GT(d.at("prof.alloc.lz77.scratch.bytes"), 0u);
+  EXPECT_GE(d.at("prof.alloc.lz77.tokens.allocs"), 1u);
+  EXPECT_GT(d.at("prof.alloc.lz77.tokens.bytes"), 0u);
 }
 
 // ------------------------------------------------ flight recorder
